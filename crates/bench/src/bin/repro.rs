@@ -32,12 +32,12 @@
 //!               [--assert-clean | --assert-alerts]
 //!                                     streaming quality sentinels
 //! repro pool-dash [--shards S] [--clients C] [--words W]
-//!                 [--policy block|tryfor|degrade] [--sample-every N]
+//!                 [--policy block|tryfor] [--sample-every N]
 //!                 [--prom-out <path>] [--trace-out <path>]
 //!                 [--metrics-out <path>]
 //!                                     live per-shard dashboard over a
 //!                                     traced pool: queue depth, phase
-//!                                     latency quantiles, stall/degrade
+//!                                     latency quantiles, stall/replay
 //!                                     rates; exports the final snapshot
 //! repro chaos [--schedules N] [--seed S] [--replay SEED]
 //!                                     deterministic fault-injection
@@ -231,7 +231,7 @@ fn parse_args() -> Args {
             "--policy" => {
                 args.policy = argv
                     .get(i + 1)
-                    .expect("--policy takes block|tryfor|degrade")
+                    .expect("--policy takes block|tryfor")
                     .clone();
                 i += 2;
             }
@@ -462,10 +462,7 @@ fn main() {
     if args.cmd == "pool-dash" {
         use std::io::IsTerminal;
         let policy = pooldash::parse_policy(&args.policy).unwrap_or_else(|| {
-            eprintln!(
-                "unknown --policy {} (expected block|tryfor|degrade)",
-                args.policy
-            );
+            eprintln!("unknown --policy {} (expected block|tryfor)", args.policy);
             std::process::exit(2);
         });
         let cfg = pooldash::PoolDashConfig {

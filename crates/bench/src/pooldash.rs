@@ -4,8 +4,8 @@
 //! Spins up a [`Pool`] with request-path tracing on, drives it with a
 //! configurable client fleet, and redraws a per-shard table while the
 //! run is in flight: queue depth and occupancy, service / enqueue-wait /
-//! refill-copy latency quantiles, and the stall / degrade / replay
-//! outcome counters. The final telemetry snapshot is returned so the
+//! refill-copy latency quantiles, and the stall / replay outcome
+//! counters. The final telemetry snapshot is returned so the
 //! caller can export it (`--prom-out`, `--trace-out`) or assert on it.
 
 use hprng_core::HprngError;
@@ -69,7 +69,6 @@ pub fn parse_policy(s: &str) -> Option<FullPolicy> {
     match s {
         "block" => Some(FullPolicy::Block),
         "tryfor" => Some(FullPolicy::TryFor(Duration::from_millis(2))),
-        "degrade" => Some(FullPolicy::Degrade),
         _ => None,
     }
 }
@@ -79,8 +78,6 @@ pub fn policy_label(policy: FullPolicy) -> String {
     match policy {
         FullPolicy::Block => "block".to_string(),
         FullPolicy::TryFor(patience) => format!("tryfor {}ms", patience.as_millis()),
-        FullPolicy::Degrade => "degrade".to_string(),
-        _ => "unknown".to_string(),
     }
 }
 
@@ -101,14 +98,13 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
     );
     let _ = writeln!(
         out,
-        "  served {served} words in {secs:.2}s ({:.0} words/s) — degraded {:.0}, errors {:.0}",
+        "  served {served} words in {secs:.2}s ({:.0} words/s) — errors {:.0}",
         served as f64 / secs.max(1e-9),
-        snap.counter(names::POOL_DEGRADED_WORDS),
         snap.counter(names::POOL_ERRORS)
     );
     let _ = writeln!(
         out,
-        "  {:>5} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>7} {:>9} {:>8} {:>10}",
+        "  {:>5} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>7} {:>8} {:>10}",
         "shard",
         "depth",
         "occ%",
@@ -117,7 +113,6 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
         "wait p99",
         "copy p99",
         "stalls",
-        "degraded",
         "replays",
         "words"
     );
@@ -143,13 +138,12 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
         let copy = names::shard_refill_copy_ns(shard);
         let _ = writeln!(
             out,
-            "  {shard:>5} {depth:>6.0} {occ:>6.1} {:>10} {:>10} {:>10} {:>10} {:>7.0} {:>9.0} {:>8.0} {:>10.0}",
+            "  {shard:>5} {depth:>6.0} {occ:>6.1} {:>10} {:>10} {:>10} {:>10} {:>7.0} {:>8.0} {:>10.0}",
             us(quant(&service, 0.50)),
             us(quant(&service, 0.99)),
             us(quant(&wait, 0.99)),
             us(quant(&copy, 0.99)),
             snap.counter(&names::shard_stalls(shard)),
-            snap.counter(&names::shard_degraded_words(shard)),
             snap.counter(&names::shard_replays(shard)),
             snap.counter(&names::shard_words(shard)),
         );
@@ -300,9 +294,9 @@ mod tests {
             parse_policy("tryfor"),
             Some(FullPolicy::TryFor(Duration::from_millis(2)))
         );
-        assert_eq!(parse_policy("degrade"), Some(FullPolicy::Degrade));
+        assert_eq!(parse_policy("degrade"), None);
         assert_eq!(parse_policy("panic"), None);
-        assert_eq!(policy_label(FullPolicy::Degrade), "degrade");
+        assert_eq!(policy_label(FullPolicy::Block), "block");
         assert!(policy_label(parse_policy("tryfor").unwrap()).contains("2ms"));
     }
 }

@@ -17,8 +17,8 @@
 //! * [`run_schedule`] / [`run_soak`] — the soak harness: run the pool
 //!   under a schedule (or a seeded batch of them) and assert the
 //!   stack's core invariants after each one — bit-identity to the
-//!   unfaulted golden stream, `session_words + degraded_words ==
-//!   words_served`, no leaked client ids, no stranded ring peers.
+//!   unfaulted golden stream, exact `words_served` accounting, no leaked
+//!   client ids, no stranded ring peers.
 //!
 //! The `repro chaos` subcommand (in `hprng-bench`, behind its `chaos`
 //! feature) is a thin CLI over [`run_soak`]; DESIGN.md §3.8.3 documents
@@ -35,7 +35,7 @@
 pub mod plan;
 pub mod soak;
 
-pub use plan::{FaultPlan, Periodic, PlanHook, PolicyChoice, WorkerPanic};
+pub use plan::{FaultPlan, Periodic, PlanHook, WorkerPanic};
 pub use soak::{run_schedule, run_soak, ScheduleFailure, SoakReport};
 
 // The underlying registry, re-exported so harness users need not depend

@@ -16,31 +16,6 @@ use hprng_baselines::SplitMix64;
 use hprng_pool::FullPolicy;
 use hprng_transport::chaos::{FaultAction, FaultHook, FaultPoint};
 
-/// The backpressure policy a schedule builds its pool with. Mirrors
-/// [`FullPolicy`] with plain-data variants so a plan stays `Copy` and
-/// printable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// [`FullPolicy::Block`]: waits absorb every stall.
-    Block,
-    /// [`FullPolicy::TryFor`] with this patience: stalls surface as
-    /// retryable [`hprng_core::HprngError::ShardStalled`].
-    TryFor(Duration),
-    /// [`FullPolicy::Degrade`]: stalls serve salted fallback words.
-    Degrade,
-}
-
-impl PolicyChoice {
-    /// The pool policy this choice stands for.
-    pub fn as_policy(self) -> FullPolicy {
-        match self {
-            PolicyChoice::Block => FullPolicy::Block,
-            PolicyChoice::TryFor(patience) => FullPolicy::TryFor(patience),
-            PolicyChoice::Degrade => FullPolicy::Degrade,
-        }
-    }
-}
-
 /// Kill one shard worker mid-refill: the `at_refill`-th
 /// [`FaultPoint::ShardRefill`] fired on `shard` panics (once).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +61,7 @@ pub struct FaultPlan {
     /// Pool request-queue depth.
     pub queue_depth: usize,
     /// Client backpressure policy.
-    pub policy: PolicyChoice,
+    pub policy: FullPolicy,
     /// Whether the pool routes around poisoned shards.
     pub failover: bool,
     /// Words each client drains.
@@ -124,10 +99,12 @@ impl FaultPlan {
         let clients = 1 + pick(4) as usize;
         let prefetch_words = [4usize, 8, 32][pick(3) as usize];
         let queue_depth = [1usize, 2, 8][pick(3) as usize];
+        // Three-way pick: the third value selected a since-removed policy
+        // and now maps to `Block`, so every older seed whose plan was
+        // `Block` or `TryFor` still derives the identical plan.
         let policy = match pick(3) {
-            0 => PolicyChoice::Block,
-            1 => PolicyChoice::TryFor(Duration::from_millis(1 + pick(3))),
-            _ => PolicyChoice::Degrade,
+            1 => FullPolicy::TryFor(Duration::from_millis(1 + pick(3))),
+            _ => FullPolicy::Block,
         };
         let failover = pick(2) == 1;
         let words_per_client = 96 + pick(289) as usize; // 96..=384
@@ -180,9 +157,8 @@ impl fmt::Display for FaultPlan {
             self.seed, self.shards, self.clients, self.prefetch_words, self.queue_depth
         )?;
         match self.policy {
-            PolicyChoice::Block => write!(f, "block")?,
-            PolicyChoice::TryFor(p) => write!(f, "tryfor({}ms)", p.as_millis())?,
-            PolicyChoice::Degrade => write!(f, "degrade")?,
+            FullPolicy::Block => write!(f, "block")?,
+            FullPolicy::TryFor(p) => write!(f, "tryfor({}ms)", p.as_millis())?,
         }
         write!(
             f,
@@ -344,6 +320,18 @@ mod tests {
             assert_eq!(a.to_string(), b.to_string());
         }
         assert_ne!(FaultPlan::from_seed(1), FaultPlan::from_seed(2));
+    }
+
+    #[test]
+    fn older_seeds_derive_their_original_plans() {
+        // The soak seed that found the dead-shard `flush_pending` bug
+        // under `Block`; its plan must replay unchanged.
+        assert_eq!(
+            FaultPlan::from_seed(6349198060258255764).to_string(),
+            "plan{seed=0x581ce1ff0e4ae394 shards=2 clients=1 prefetch=32 depth=8 \
+             policy=block failover=on words=355 \
+             faults=[panic(shard0@r5) stall(recv%9=1ms) exhaust corrupt claim-panic]}"
+        );
     }
 
     #[test]

@@ -4,15 +4,12 @@
 //! Invariants checked per schedule (conditioned on what the plan could
 //! legitimately cause):
 //!
-//! 1. **Bit-identity** — every word a client served from its session
-//!    stream matches the unfaulted golden stream of its lane seed; a
-//!    client that never degraded must have produced an exact golden
-//!    prefix, and a client on a failover-enabled multi-shard pool under
-//!    `Block`/`TryFor` must have produced the *complete* golden stream
-//!    despite any injected worker panic.
-//! 2. **Accounting** — `session_words() + degraded_words() ==
-//!    words_served()` for every client, always; degraded words may only
-//!    exist under `FullPolicy::Degrade`.
+//! 1. **Bit-identity** — every client's served words are an exact
+//!    prefix of the unfaulted golden stream of its lane seed, and a
+//!    client on a failover-enabled multi-shard pool must have produced
+//!    the *complete* golden stream despite any injected worker panic.
+//! 2. **Accounting** — every client's `words_served()` equals the words
+//!    it actually delivered: failed requests count nothing.
 //! 3. **No id leaks** — once every client handle is dropped,
 //!    [`Pool::live_claims`] is zero.
 //! 4. **No stranded peers** — `Pool::shutdown` completes within a
@@ -35,7 +32,7 @@ use hprng_core::{seeding, ExpanderWalkRng, HprngError, OnDemandRng, StreamState}
 use hprng_pool::{Pool, PoolClient};
 use hprng_transport::chaos;
 
-use crate::plan::{FaultPlan, PlanHook, PolicyChoice};
+use crate::plan::{FaultPlan, PlanHook};
 
 /// How long [`run_schedule`] waits for `Pool::shutdown` before declaring
 /// ring peers stranded.
@@ -143,9 +140,9 @@ struct Lane {
 
 /// Runs the complete schedule derived from `seed` and checks every
 /// invariant, reporting the first violation as `Err`. Deterministic in
-/// everything except timing-dependent *which-path* choices (how many
-/// words degrade, where a stall lands) — the invariants hold on every
-/// path, which is the point.
+/// everything except timing-dependent *which-path* choices (where a
+/// stall lands) — the invariants hold on every path, which is the
+/// point.
 pub fn run_schedule(seed: u64) -> Result<(), String> {
     let plan = FaultPlan::from_seed(seed);
     quiet_injected_panics();
@@ -159,7 +156,7 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
 
     let pool = match Pool::builder(plan.pool_seed)
         .shards(plan.shards)
-        .full_policy(plan.policy.as_policy())
+        .full_policy(plan.policy)
         .prefetch_words(plan.prefetch_words)
         .queue_depth(plan.queue_depth)
         .failover(plan.failover)
@@ -231,20 +228,12 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
             continue;
         };
         let golden = &golden[lane.id as usize];
-        if client.session_words() + client.degraded_words() != client.words_served() {
+        if client.words_served() != lane.collected.len() as u64 {
             return fail(format!(
-                "client {}: accounting broke: {} session + {} degraded != {} served",
+                "client {}: accounting broke: {} served but {} delivered",
                 lane.id,
-                client.session_words(),
-                client.degraded_words(),
-                client.words_served()
-            ));
-        }
-        if client.degraded_words() > 0 && plan.policy != PolicyChoice::Degrade {
-            return fail(format!(
-                "client {}: {} degraded words under a non-degrade policy",
-                lane.id,
-                client.degraded_words()
+                client.words_served(),
+                lane.collected.len()
             ));
         }
         if let Some(error) = &lane.error {
@@ -265,7 +254,7 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
                 plan.words_per_client
             ));
         }
-        if client.degraded_words() == 0 && lane.collected != golden[..lane.collected.len()] {
+        if lane.collected != golden[..lane.collected.len()] {
             let at = lane
                 .collected
                 .iter()
@@ -402,13 +391,11 @@ fn corruption_probe(
         Err(_) => return Ok(()),
         Ok(client) => client,
     };
-    // Accepted. The pool validated seed, lanes, and accounting, so the
-    // only fields the flip can have touched are ones that do not steer
+    // Accepted. The pool validated seed and lanes, so a flip it let
+    // through either hit the resume point or a field that does not steer
     // the stream (e.g. the label). If the counters really are intact,
     // the continuation must be bit-golden.
     let counters_intact = parsed.session_words == original.session_words
-        && parsed.degraded_words == original.degraded_words
-        && parsed.words_served == original.words_served
         && parsed.seed == original.seed
         && parsed.id == original.id
         && parsed.lanes == original.lanes;
@@ -417,11 +404,7 @@ fn corruption_probe(
         Err(e) if error_is_scheduled(plan, &e) => return Ok(()),
         Err(e) => return Err(format!("resumed-from-corruption client failed: {e}")),
     };
-    if resumed.session_words() + resumed.degraded_words() != resumed.words_served() {
-        return Err("resumed-from-corruption client broke accounting".to_string());
-    }
-    let fresh_degrade = resumed.degraded_words() != parsed.degraded_words;
-    if counters_intact && !fresh_degrade {
+    if counters_intact {
         let start = original.session_words as usize;
         let expected = &golden[lane_id as usize][start..start + 32];
         if continuation != expected {

@@ -421,9 +421,7 @@ impl<B: Backend> Engine<B> {
             id: 0,
             seed,
             lanes: self.backend.threads(),
-            words_served: self.numbers as u64,
             session_words: self.numbers as u64,
-            degraded_words: 0,
             feed_words: self.feed_words,
             feed_chunks: 0,
             walks,

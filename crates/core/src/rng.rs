@@ -96,9 +96,7 @@ impl<S: BitSource> ExpanderWalkRng<S> {
             id: 0,
             seed,
             lanes: 1,
-            words_served: self.generated,
             session_words: self.generated,
-            degraded_words: 0,
             feed_words: chunks.div_ceil(hprng_expander::bits::CHUNKS_PER_WORD as u64),
             feed_chunks: chunks,
             walks: vec![self.walk.checkpoint()],

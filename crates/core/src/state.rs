@@ -30,8 +30,9 @@ use hprng_telemetry::json::{self, Value};
 /// The on-disk format tag of a serialized stream state.
 pub const STREAM_STATE_FORMAT: &str = "hprng-stream-state";
 
-/// The current stream-state schema version.
-pub const STREAM_STATE_VERSION: u64 = 1;
+/// The current stream-state schema version. Version-1 documents carried
+/// two more word counters and are refused rather than guessed at.
+pub const STREAM_STATE_VERSION: u64 = 2;
 
 /// The resumable identity of one generator stream.
 ///
@@ -53,14 +54,9 @@ pub struct StreamState {
     pub seed: u64,
     /// Independent lanes the provider serves per request.
     pub lanes: usize,
-    /// Total words the consumer has observed (session + degraded).
-    pub words_served: u64,
-    /// Words served from the live session (the resume point: a restored
-    /// session fast-forwards past exactly this many words).
+    /// Words served from the session stream (the resume point: a
+    /// restored session fast-forwards past exactly this many words).
     pub session_words: u64,
-    /// Words served from the salted degrade fallback (pool clients under
-    /// `FullPolicy::Degrade`); the degrade-resume point.
-    pub degraded_words: u64,
     /// Raw 64-bit feed words consumed by the provider.
     pub feed_words: u64,
     /// Raw 3-bit chunks consumed (expander-walk providers; 0 when the
@@ -83,9 +79,7 @@ impl StreamState {
             id,
             seed,
             lanes,
-            words_served: session_words,
             session_words,
-            degraded_words: 0,
             feed_words: 0,
             feed_chunks: 0,
             walks: Vec::new(),
@@ -101,12 +95,7 @@ impl StreamState {
         obj.set("id", Value::from(self.id.to_string()));
         obj.set("seed", Value::from(self.seed.to_string()));
         obj.set("lanes", Value::from(self.lanes));
-        obj.set("words_served", Value::from(self.words_served.to_string()));
         obj.set("session_words", Value::from(self.session_words.to_string()));
-        obj.set(
-            "degraded_words",
-            Value::from(self.degraded_words.to_string()),
-        );
         obj.set("feed_words", Value::from(self.feed_words.to_string()));
         obj.set("feed_chunks", Value::from(self.feed_chunks.to_string()));
         let walks = self
@@ -184,9 +173,7 @@ impl StreamState {
             id: u64_field(value, "id")?,
             seed: u64_field(value, "seed")?,
             lanes,
-            words_served: u64_field(value, "words_served")?,
             session_words: u64_field(value, "session_words")?,
-            degraded_words: u64_field(value, "degraded_words")?,
             feed_words: u64_field(value, "feed_words")?,
             feed_chunks: u64_field(value, "feed_chunks")?,
             walks,
@@ -200,12 +187,6 @@ impl StreamState {
             reason: "stream-state document failed to parse",
         })?;
         Self::from_value(&value)
-    }
-
-    /// The invariant every pool checkpoint upholds:
-    /// `session_words + degraded_words == words_served`.
-    pub fn accounting_is_consistent(&self) -> bool {
-        self.session_words + self.degraded_words == self.words_served
     }
 }
 
@@ -271,9 +252,7 @@ mod tests {
             id: 7,
             seed: u64::MAX - 3,
             lanes: 2,
-            words_served: 105,
             session_words: 100,
-            degraded_words: 5,
             feed_words: 420,
             feed_chunks: 8_486,
             walks: vec![
@@ -338,7 +317,7 @@ mod tests {
     #[test]
     fn version_gate_rejects_future_documents() {
         let mut doc = sample().to_value();
-        doc.set("version", Value::from(2u64));
+        doc.set("version", Value::from(3u64));
         assert_eq!(
             StreamState::from_value(&doc),
             Err(HprngError::RestoreMismatch {
@@ -349,9 +328,8 @@ mod tests {
     }
 
     #[test]
-    fn minimal_states_are_consistent_and_round_trip() {
+    fn minimal_states_round_trip() {
         let state = StreamState::minimal("pool-lane", 3, 99, 1, 1234);
-        assert!(state.accounting_is_consistent());
         assert!(state.walks.is_empty());
         assert_eq!(StreamState::from_json(&state.to_json()).unwrap(), state);
     }

@@ -17,19 +17,17 @@ fn build_state(
     label_idx: usize,
     ids: (u64, u64),
     lanes: usize,
-    counters: (u64, u64, u64, u64),
+    counters: (u64, u64, u64),
     walks: Vec<(u64, u64)>,
 ) -> StreamState {
     let (id, seed) = ids;
-    let (session, degraded, feed_words, feed_chunks) = counters;
+    let (session_words, feed_words, feed_chunks) = counters;
     StreamState {
         label: STATE_LABELS[label_idx].to_string(),
         id,
         seed,
         lanes,
-        words_served: session.wrapping_add(degraded),
-        session_words: session,
-        degraded_words: degraded,
+        session_words,
         feed_words,
         feed_chunks,
         walks: walks
@@ -132,7 +130,7 @@ proptest! {
         label_idx in 0usize..4,
         ids in (any::<u64>(), any::<u64>()),
         lanes in 1usize..4097,
-        counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        counters in (any::<u64>(), any::<u64>(), any::<u64>()),
         walks in prop::collection::vec((any::<u64>(), any::<u64>()), 0..16),
     ) {
         let state = build_state(label_idx, ids, lanes, counters, walks);
@@ -149,7 +147,7 @@ proptest! {
         label_idx in 0usize..4,
         ids in (any::<u64>(), any::<u64>()),
         lanes in 1usize..4097,
-        counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        counters in (any::<u64>(), any::<u64>(), any::<u64>()),
         walks in prop::collection::vec((any::<u64>(), any::<u64>()), 0..16),
     ) {
         let state = build_state(label_idx, ids, lanes, counters, walks);

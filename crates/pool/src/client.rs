@@ -4,29 +4,17 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use hprng_baselines::SplitMix64;
-use hprng_core::{HprngError, OnDemandRng, ScalarRng, StreamState};
+use hprng_core::{HprngError, OnDemandRng, StreamState};
 use hprng_telemetry::{Stage, WordTap};
 use hprng_transport::{
     bounded, BlockPool, Disconnect, RecvTimeoutError, RingReceiver, RingSender, ShutdownFlag,
-    TryRecvError, TrySendError,
+    TrySendError,
 };
 
 use crate::config::FullPolicy;
 use crate::obs::ShardObs;
 use crate::pool::PoolShared;
-use crate::shard::{Reply, Request, ShardMetrics, StateReply};
-
-/// Domain-separation salt of the [`FullPolicy::Degrade`] fallback stream,
-/// so the inline generator never collides with the lane's session seed.
-const DEGRADE_SALT: u64 = 0xD15E_A5ED_FA11_BACC;
-
-enum Acquired {
-    /// The front block holds fresh words.
-    Front,
-    /// No refill available; serve from the inline fallback generator.
-    Fallback,
-}
+use crate::shard::{Reply, Request, StateReply};
 
 /// One consumer's handle onto the pool: lane `id` of the pool's seed.
 ///
@@ -38,10 +26,6 @@ enum Acquired {
 /// [`PoolClient::fill_words`]) is a slice copy with no allocation:
 /// drained blocks go back to the arena and refills are checked out of it
 /// shard-side.
-///
-/// Under [`FullPolicy::Degrade`] the determinism guarantee is
-/// deliberately traded away while the shard is behind — see
-/// [`FullPolicy::Degrade`].
 pub struct PoolClient {
     id: u64,
     shard: usize,
@@ -58,7 +42,7 @@ pub struct PoolClient {
     front: Vec<u64>,
     pos: usize,
     /// Refill requests owed to the shard but not yet enqueued (the ring
-    /// was full under a non-blocking policy). At most two are ever owed.
+    /// was full under [`FullPolicy::TryFor`]). At most two are ever owed.
     pending_refills: usize,
     /// Words copied out by a request that then failed mid-way (a
     /// [`FullPolicy::TryFor`] stall across a refill boundary). Their
@@ -69,23 +53,17 @@ pub struct PoolClient {
     /// large failed request cannot pin its peak capacity.
     replay: Vec<u64>,
     replay_pos: usize,
-    fallback: ScalarRng<SplitMix64>,
-    degraded_forever: bool,
     failed: Option<HprngError>,
+    /// Words delivered to the consumer. It advances as a request copies
+    /// words out, because a failover checkpoints mid-request and must
+    /// resume after the words already copied; a failed request rolls it
+    /// back, so words staged for replay are counted once, when re-served.
     served: u64,
-    degraded: u64,
-    /// Words delivered from the session stream (prefetch blocks and
-    /// replay stash, never the fallback). For a live client,
-    /// `session_served + degraded == served` after every successful
-    /// request — rolled back on failure so replay re-serves are not
-    /// double-counted.
-    session_served: u64,
     /// Requests issued through [`PoolClient::fill_words`], for the
     /// 1-in-N span sampling gate.
     requests: u64,
     tap: Option<Box<dyn WordTap>>,
     shutdown: ShutdownFlag,
-    metrics: Arc<ShardMetrics>,
     obs: Option<Arc<ShardObs>>,
     /// The pool-wide serving fabric: shard senders, arenas, and metrics
     /// for reattachment, plus the claimed-id registry released on drop.
@@ -125,16 +103,11 @@ impl PoolClient {
             pending_refills: 0,
             replay: Vec::new(),
             replay_pos: 0,
-            fallback: ScalarRng::labeled(SplitMix64::new(lane_seed ^ DEGRADE_SALT), "pool-degrade"),
-            degraded_forever: false,
             failed: None,
             served: 0,
-            degraded: 0,
-            session_served: 0,
             requests: 0,
             tap: None,
             shutdown: shared.shutdown.clone(),
-            metrics: Arc::clone(&shared.metrics[shard]),
             obs: shared.obs.as_ref().map(|o| Arc::clone(&o.shards[shard])),
             shared,
             failover_enabled,
@@ -143,20 +116,11 @@ impl PoolClient {
     }
 
     /// Primes a freshly admitted client onto a checkpointed state: the
-    /// provenance counters resume where the checkpoint left off, the
-    /// degrade fallback fast-forwards past its served words, and the
+    /// served counter resumes where the checkpoint left off, and the
     /// first installed block skips the sub-round remainder the shard
     /// could not fast-forward.
     pub(crate) fn prime_from_state(&mut self, state: &StreamState) {
-        self.served = state.words_served;
-        self.session_served = state.session_words;
-        self.degraded = state.degraded_words;
-        // The fallback stream is client-side state; replay it to the
-        // degrade-resume point so a later degrade continues, rather than
-        // repeats, the salted stream.
-        for _ in 0..state.degraded_words {
-            self.fallback.get_next_rand();
-        }
+        self.served = state.session_words;
         self.resume_skip = (state.session_words % self.lanes as u64) as usize;
     }
 
@@ -172,22 +136,6 @@ impl PoolClient {
         self.shard
     }
 
-    /// Words served from the inline fallback generator instead of the
-    /// session stream ([`FullPolicy::Degrade`] only).
-    pub fn degraded_words(&self) -> u64 {
-        self.degraded
-    }
-
-    /// Words served from the client's shard-side session stream
-    /// (prefetch blocks, including replay-stash re-serves; never the
-    /// fallback generator). Every delivered word has exactly one
-    /// provenance, so for a live client
-    /// `session_words() + degraded_words() ==`
-    /// [`words_served`](OnDemandRng::words_served).
-    pub fn session_words(&self) -> u64 {
-        self.session_served
-    }
-
     /// True once the stream has failed permanently (the error every
     /// subsequent request returns).
     pub fn has_failed(&self) -> bool {
@@ -200,22 +148,13 @@ impl PoolClient {
     /// failover path reattaches with, and the one to persist (via
     /// [`StreamState::to_json`]) for [`crate::Pool::try_client_resumed`].
     ///
-    /// The state is *minimal*: it records how many session and degraded
-    /// words were consumed, and the restore side reconstructs the
-    /// position by fast-forwarding a fresh session. Words sitting in
-    /// not-yet-consumed prefetch blocks are deliberately not part of the
-    /// stream yet and are regenerated on resume.
+    /// The state is *minimal*: it records how many words were consumed,
+    /// and the restore side reconstructs the position by fast-forwarding
+    /// a fresh session. Words sitting in not-yet-consumed prefetch blocks
+    /// are deliberately not part of the stream yet and are regenerated on
+    /// resume.
     pub fn checkpoint(&self) -> StreamState {
-        let mut state = StreamState::minimal(
-            "pool",
-            self.id,
-            self.lane_seed,
-            self.lanes,
-            self.session_served,
-        );
-        state.degraded_words = self.degraded;
-        state.words_served = self.session_served + self.degraded;
-        state
+        StreamState::minimal("pool", self.id, self.lane_seed, self.lanes, self.served)
     }
 
     /// Asks the serving shard for the session's own checkpoint
@@ -326,10 +265,8 @@ impl PoolClient {
         self.tx = tx;
         self.rx = reply_rx;
         self.blocks = Arc::clone(&self.shared.arenas[target]);
-        self.metrics = Arc::clone(&self.shared.metrics[target]);
         self.obs = obs;
         self.resume_skip = (state.session_words % self.lanes as u64) as usize;
-        self.degraded_forever = false;
         Ok(())
     }
 
@@ -368,7 +305,6 @@ impl PoolClient {
             let word = self.front[self.pos];
             self.pos += 1;
             self.served += 1;
-            self.session_served += 1;
             if let Some(tap) = self.tap.as_mut() {
                 tap.observe(std::slice::from_ref(&word));
             }
@@ -409,11 +345,7 @@ impl PoolClient {
         // Time spent inside `acquire` (queue + shard waits), subtracted
         // from the request total to isolate the copy phase.
         let mut wait_ns = 0.0f64;
-        // Entry snapshots: a failed request delivers nothing, so its
-        // provenance counts are rolled back (staged words are re-counted
-        // when the replay stash actually serves them).
-        let session0 = self.session_served;
-        let degraded0 = self.degraded;
+        let served0 = self.served;
         let mut filled = 0;
         while filled < out.len() {
             // Words stranded by an earlier failed request come first —
@@ -424,10 +356,7 @@ impl PoolClient {
                     .copy_from_slice(&self.replay[self.replay_pos..self.replay_pos + take]);
                 self.replay_pos += take;
                 filled += take;
-                // Replay only ever holds session-stream words: the only
-                // policy that can stage and later re-serve is `TryFor`,
-                // which never serves fallback words.
-                self.session_served += take as u64;
+                self.served += take as u64;
                 if let Some(o) = &self.obs {
                     o.replays.add(1);
                 }
@@ -448,7 +377,7 @@ impl PoolClient {
                 out[filled..filled + take].copy_from_slice(&self.front[self.pos..self.pos + take]);
                 self.pos += take;
                 filled += take;
-                self.session_served += take as u64;
+                self.served += take as u64;
                 continue;
             }
             let acquired = if let Some((o, _)) = &trace {
@@ -459,40 +388,19 @@ impl PoolClient {
             } else {
                 self.acquire()
             };
-            match acquired {
-                Ok(Acquired::Front) => {}
-                Ok(Acquired::Fallback) => {
-                    out[filled] = self.fallback.get_next_rand();
-                    self.degraded += 1;
-                    filled += 1;
+            if let Err(e) = acquired {
+                // The words already copied came from blocks that may now
+                // be recycled; stage them so the next request re-serves
+                // them (the caller must treat `out` as unwritten on
+                // error). `replay` is empty here — `acquire` is only
+                // reached once it has drained.
+                if filled > 0 {
+                    let mut stash = self.blocks.checkout();
+                    stash.extend_from_slice(&out[..filled]);
+                    self.replay = stash;
                 }
-                Err(e) => {
-                    // The words already copied came from blocks that may
-                    // now be recycled; stage them so the next request
-                    // re-serves them (the caller must treat `out` as
-                    // unwritten on error). `replay` is empty here —
-                    // `acquire` is only reached once it has drained.
-                    if filled > 0 {
-                        let mut stash = self.blocks.checkout();
-                        stash.extend_from_slice(&out[..filled]);
-                        self.replay = stash;
-                    }
-                    self.session_served = session0;
-                    self.degraded = degraded0;
-                    return Err(e);
-                }
-            }
-        }
-        self.served += out.len() as u64;
-        // Shard-visible degrade accounting flushes once per request, not
-        // per word, and only for requests that actually delivered.
-        let newly_degraded = self.degraded - degraded0;
-        if newly_degraded > 0 {
-            self.metrics
-                .degraded_words
-                .fetch_add(newly_degraded, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.degraded_words.add(newly_degraded);
+                self.served = served0;
+                return Err(e);
             }
         }
         if let Some(tap) = self.tap.as_mut() {
@@ -512,19 +420,14 @@ impl PoolClient {
         Ok(())
     }
 
-    /// Obtains a refilled front block (or a fallback verdict) after the
-    /// current front ran dry.
+    /// Obtains a refilled front block after the current front ran dry.
     ///
     /// A loop because failover restarts the receive: when the shard's
     /// disconnect classifies as poisoned and
     /// [`crate::PoolBuilder::failover`] is on, the client reattaches to a
-    /// healthy shard and retries there instead of failing (or degrading
-    /// forever).
-    fn acquire(&mut self) -> Result<Acquired, HprngError> {
+    /// healthy shard and retries there instead of failing.
+    fn acquire(&mut self) -> Result<(), HprngError> {
         loop {
-            if self.degraded_forever {
-                return Ok(Acquired::Fallback);
-            }
             // Return the exhausted front to the arena and owe the shard one
             // refill for it. The initial placeholder (capacity 0; the real
             // blocks start shard-side) is not a block and must not become
@@ -537,60 +440,30 @@ impl PoolClient {
                 self.pending_refills += 1;
             }
             self.flush_pending()?;
-            match self.policy {
-                FullPolicy::TryFor(patience) => match self.rx.recv_timeout(patience) {
-                    Ok(reply) => return self.install(reply),
-                    // The refill stays in flight; the next call retries.
-                    Err(RecvTimeoutError::Timeout) => {
-                        if let Some(o) = &self.obs {
-                            o.stalls.add(1);
-                        }
-                        return Err(HprngError::ShardStalled { shard: self.shard });
+            let received = match self.policy {
+                FullPolicy::Block => self.rx.recv().ok_or(RecvTimeoutError::Disconnected),
+                FullPolicy::TryFor(patience) => self.rx.recv_timeout(patience),
+            };
+            match received {
+                Ok(reply) => return self.install(reply),
+                // The refill stays in flight; the next call retries.
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(o) = &self.obs {
+                        o.stalls.add(1);
                     }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        if self.try_failover() {
-                            continue;
-                        }
-                        return Err(self.fail_disconnected());
+                    return Err(HprngError::ShardStalled { shard: self.shard });
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    if self.try_failover() {
+                        continue;
                     }
-                },
-                FullPolicy::Degrade => match self.rx.try_recv() {
-                    Ok(reply) => return self.install(reply).map(|_| Acquired::Front),
-                    Err(TryRecvError::Empty) => return Ok(Acquired::Fallback),
-                    Err(TryRecvError::Disconnected) => {
-                        match self.shutdown.classify_disconnect() {
-                            Disconnect::Shutdown => return Err(self.fail(HprngError::PoolShutdown)),
-                            Disconnect::Poisoned => {
-                                // Reattach if allowed; the retry usually
-                                // serves a few fallback words while the
-                                // new shard primes the prefetch, then the
-                                // degrade counter stops growing.
-                                if self.try_failover() {
-                                    continue;
-                                }
-                                // Otherwise stay available on the fallback
-                                // stream for good.
-                                self.degraded_forever = true;
-                                return Ok(Acquired::Fallback);
-                            }
-                        }
-                    }
-                },
-                // Block — and any future policy, which waits by default.
-                _ => match self.rx.recv() {
-                    Some(reply) => return self.install(reply),
-                    None => {
-                        if self.try_failover() {
-                            continue;
-                        }
-                        return Err(self.fail_disconnected());
-                    }
-                },
+                    return Err(self.fail_disconnected());
+                }
             }
         }
     }
 
-    fn install(&mut self, reply: Reply) -> Result<Acquired, HprngError> {
+    fn install(&mut self, reply: Reply) -> Result<(), HprngError> {
         match reply {
             Ok(buf) => {
                 self.front = buf;
@@ -603,7 +476,7 @@ impl PoolClient {
                     self.pos = self.resume_skip.min(self.front.len());
                     self.resume_skip = 0;
                 }
-                Ok(Acquired::Front)
+                Ok(())
             }
             // A session error (failed attach or a dead session) is
             // permanent for this client; peers are unaffected.
@@ -612,8 +485,8 @@ impl PoolClient {
     }
 
     /// Pushes owed refill requests into the shard's request ring.
-    /// Blocking policy waits for space; the others leave what does not
-    /// fit for the next call.
+    /// [`FullPolicy::Block`] waits for space; [`FullPolicy::TryFor`]
+    /// leaves what does not fit for the next call.
     fn flush_pending(&mut self) -> Result<(), HprngError> {
         while self.pending_refills > 0 {
             let request = Request::Refill {
@@ -621,17 +494,15 @@ impl PoolClient {
                 enqueued_ns: self.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
             };
             match self.policy {
-                FullPolicy::TryFor(_) | FullPolicy::Degrade => match self.tx.try_send(request) {
+                FullPolicy::TryFor(_) => match self.tx.try_send(request) {
                     Ok(()) => self.pending_refills -= 1,
                     Err(TrySendError::Full(_)) => return Ok(()),
-                    // Let the receive path classify the disconnect
-                    // (buffered replies may still be drainable); the owed
-                    // refill can never be served, but the client is about
-                    // to fail or degrade for good anyway.
+                    // As under `Block`: the receive path drains buffered
+                    // replies, classifies the disconnect, and fails over
+                    // (re-priming the prefetch) or fails the client.
                     Err(TrySendError::Disconnected(_)) => return Ok(()),
                 },
-                // Block — and any future policy, which waits by default.
-                _ => match self.tx.send(request) {
+                FullPolicy::Block => match self.tx.send(request) {
                     Ok(()) => self.pending_refills -= 1,
                     // The shard vanished with this refill owed. Failing
                     // here would skip failover entirely (and drop any
@@ -751,7 +622,6 @@ impl std::fmt::Debug for PoolClient {
             .field("shard", &self.shard)
             .field("lanes", &self.lanes)
             .field("served", &self.served)
-            .field("degraded", &self.degraded)
             .finish_non_exhaustive()
     }
 }

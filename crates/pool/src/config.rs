@@ -2,6 +2,7 @@
 //! per-client session recipe.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use hprng_core::pipeline::RING_BLOCK_WORDS;
 use hprng_core::{
@@ -16,20 +17,22 @@ use crate::pool::Pool;
 /// refilled prefetch block immediately (the shard's request queue is
 /// full, or the refill has not completed yet).
 ///
-/// This is the workspace-wide [`hprng_transport::Backpressure`] policy,
-/// re-exported under the pool's historical name. Pool-specific behavior
-/// of each variant:
-///
-/// * [`FullPolicy::Block`] — wait for the refill; the stream stays
-///   bit-reproducible, latency absorbs the backpressure (default).
-/// * [`FullPolicy::TryFor`] — wait up to the patience, then fail with
-///   [`HprngError::ShardStalled`]. The refill stays in flight and words a
-///   stall caught mid-request are staged client-side and re-served by
-///   the next request, so retrying resumes the stream without a gap.
-/// * [`FullPolicy::Degrade`] — serve inline from a per-client salted
-///   `SplitMix64` fallback until the refill arrives; fallback words are
-///   counted in [`crate::PoolClient::degraded_words`] and the pool stats.
-pub use hprng_transport::Backpressure as FullPolicy;
+/// Both policies serve only the client's own lane stream; they differ in
+/// how long a request may wait for it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FullPolicy {
+    /// Wait for the refill; latency absorbs the backpressure. The
+    /// default.
+    #[default]
+    Block,
+    /// Wait up to the given patience, then fail the request with the
+    /// retryable [`HprngError::ShardStalled`]. The refill stays in flight
+    /// and words a stall caught mid-request are staged client-side and
+    /// re-served by the next request, so retrying resumes the stream
+    /// without a gap. A caller that needs words during a stall serves
+    /// them from its own fallback on `ShardStalled`.
+    TryFor(Duration),
+}
 
 /// A user-supplied session recipe: maps a client's 64-bit lane seed to the
 /// generator that serves its stream inside the shard worker.
@@ -225,8 +228,7 @@ impl PoolBuilder {
     ///
     /// Off by default because failover deliberately changes the failure
     /// contract: without it a poisoned shard permanently fails its
-    /// clients ([`hprng_core::HprngError::ShardPoisoned`]) or parks them
-    /// on the degrade fallback forever ([`FullPolicy::Degrade`]), which
+    /// clients ([`hprng_core::HprngError::ShardPoisoned`]), which
     /// existing deployments may rely on observing.
     pub fn failover(mut self, enabled: bool) -> Self {
         self.failover = enabled;
@@ -235,7 +237,7 @@ impl PoolBuilder {
 
     /// Enables request-path observability: per-shard queue-depth and
     /// occupancy gauges, enqueue-wait / service / refill-copy latency
-    /// histograms, stall / degrade / replay counters, and client +
+    /// histograms, stall / replay counters, and client +
     /// shard-worker spans on a shared epoch, all collected in a
     /// [`hprng_telemetry::Registry`] reachable via
     /// [`Pool::registry`] / [`Pool::telemetry_snapshot`].

@@ -21,14 +21,14 @@
 //! (`hprng-transport`): each shard's request queue is a bounded
 //! [`hprng_transport::BlockRing`] (clients clone the sender), prefetch
 //! blocks circulate through a per-shard [`hprng_transport::BlockPool`]
-//! arena instead of the allocator, and [`FullPolicy`] — the pool's name
-//! for [`hprng_transport::Backpressure`] — picks what happens when the
-//! shard falls behind: wait ([`FullPolicy::Block`]), fail fast with
-//! [`hprng_core::HprngError::ShardStalled`] ([`FullPolicy::TryFor`]), or
-//! degrade to an inline scalar generator ([`FullPolicy::Degrade`]). A
-//! worker panic poisons only its own shard (the transport
-//! [`hprng_transport::PoisonGuard`] discipline, shared with the pipeline
-//! ring); peers keep serving, and [`Pool::stats`] reports the casualty.
+//! arena instead of the allocator, and [`FullPolicy`] picks what happens
+//! when the shard falls behind: wait ([`FullPolicy::Block`]) or fail fast
+//! with [`hprng_core::HprngError::ShardStalled`]
+//! ([`FullPolicy::TryFor`]). Every word a client serves is its lane's
+//! word under either policy. A worker panic poisons only its own shard
+//! (the transport [`hprng_transport::PoisonGuard`] discipline, shared
+//! with the pipeline ring); peers keep serving, and [`Pool::stats`]
+//! reports the casualty.
 //!
 //! Because every client stream is a pure function of its lane seed, a
 //! client's resumable identity is a tiny serializable
@@ -43,9 +43,9 @@
 //!
 //! Request-path observability is built in: [`PoolBuilder::tracing`]
 //! turns on per-shard queue-depth/occupancy gauges, enqueue-wait /
-//! service / refill-copy latency histograms, stall/degrade/replay
-//! counters (under the canonical [`names`]) and 1-in-N sampled client
-//! and shard-worker spans on a shared epoch, all exported through
+//! service / refill-copy latency histograms, stall/replay counters
+//! (under the canonical [`names`]) and 1-in-N sampled client and
+//! shard-worker spans on a shared epoch, all exported through
 //! [`Pool::registry`] / [`Pool::telemetry_snapshot`] to the telemetry
 //! crate's Prometheus and Chrome-trace exporters.
 //!

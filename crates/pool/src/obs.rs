@@ -34,8 +34,6 @@ pub mod names {
     pub const POOL_WORDS: &str = "pool_words_total";
     /// Refills failed with a session error, pool-wide (counter).
     pub const POOL_ERRORS: &str = "pool_errors_total";
-    /// Words served from inline degrade fallbacks, pool-wide (counter).
-    pub const POOL_DEGRADED_WORDS: &str = "pool_degraded_words_total";
     /// Shard worker threads (gauge).
     pub const POOL_SHARDS: &str = "pool_shards";
     /// Currently attached client sessions (gauge).
@@ -84,12 +82,6 @@ pub mod names {
         format!("pool_shard{shard}_stalls_total")
     }
 
-    /// Words shard `shard`'s clients served from their inline degrade
-    /// fallback instead of the session stream (counter).
-    pub fn shard_degraded_words(shard: usize) -> String {
-        format!("pool_shard{shard}_degraded_words_total")
-    }
-
     /// Replay-stash re-serves: requests that re-delivered words a
     /// failed earlier request had staged (counter).
     pub fn shard_replays(shard: usize) -> String {
@@ -134,7 +126,6 @@ pub(crate) struct ShardObs {
     pub service_ns: HistogramHandle,
     pub refill_copy_ns: HistogramHandle,
     pub stalls: Counter,
-    pub degraded_words: Counter,
     pub replays: Counter,
     pub words: Counter,
 }
@@ -150,7 +141,6 @@ impl ShardObs {
             service_ns: registry.histogram(&names::shard_service_ns(shard)),
             refill_copy_ns: registry.histogram(&names::shard_refill_copy_ns(shard)),
             stalls: registry.counter(&names::shard_stalls(shard)),
-            degraded_words: registry.counter(&names::shard_degraded_words(shard)),
             replays: registry.counter(&names::shard_replays(shard)),
             words: registry.counter(&names::shard_words(shard)),
         }

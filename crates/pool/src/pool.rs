@@ -330,12 +330,6 @@ impl Pool {
                 reason: "state lane count disagrees with this pool's session kind",
             });
         }
-        if !state.accounting_is_consistent() {
-            return Err(HprngError::RestoreMismatch {
-                field: "words_served",
-                reason: "session_words + degraded_words must equal words_served",
-            });
-        }
         self.admit(state.id, shard, Some(state))
     }
 
@@ -467,7 +461,6 @@ impl Pool {
             stats.refills += m.refills.load(Ordering::Relaxed);
             stats.words += m.words.load(Ordering::Relaxed);
             stats.errors += m.errors.load(Ordering::Relaxed);
-            stats.degraded_words += m.degraded_words.load(Ordering::Relaxed);
             if m.poisoned.is_poisoned() {
                 stats.poisoned_shards.push(index);
             }
@@ -477,7 +470,7 @@ impl Pool {
 
     /// The tracing registry, when [`PoolBuilder::tracing`] enabled
     /// request-path observability — per-shard queue gauges, phase
-    /// latency histograms, stall/degrade/replay counters, and sampled
+    /// latency histograms, stall/replay counters, and sampled
     /// client/worker spans all live here. Cloning shares the
     /// instruments; [`hprng_telemetry::Registry::snapshot`] is cheap
     /// enough to call per dashboard frame.
@@ -583,9 +576,6 @@ pub struct PoolStats {
     pub words: u64,
     /// Refills that failed with a session error.
     pub errors: u64,
-    /// Words clients served from their inline fallback generator
-    /// ([`FullPolicy::Degrade`]).
-    pub degraded_words: u64,
     /// Clients that automatically reattached to a healthy shard after
     /// their shard was poisoned ([`PoolBuilder::failover`]).
     pub failovers: u64,
@@ -605,7 +595,6 @@ impl PoolStats {
         recorder.add(names::POOL_REFILLS, self.refills as f64);
         recorder.add(names::POOL_WORDS, self.words as f64);
         recorder.add(names::POOL_ERRORS, self.errors as f64);
-        recorder.add(names::POOL_DEGRADED_WORDS, self.degraded_words as f64);
         recorder.add(names::POOL_FAILOVERS, self.failovers as f64);
         recorder.add(names::POOL_MIGRATIONS, self.migrations as f64);
         recorder.set_gauge(names::POOL_SHARDS, self.shards as f64);

@@ -87,9 +87,6 @@ pub(crate) struct ShardMetrics {
     pub words: AtomicU64,
     /// Refills that failed with a session error.
     pub errors: AtomicU64,
-    /// Words clients served from their inline fallback generator
-    /// ([`crate::FullPolicy::Degrade`]).
-    pub degraded_words: AtomicU64,
     /// Set when the worker thread died by panic (never on clean
     /// shutdown). Observed through [`hprng_transport::PoisonGuard`].
     pub poisoned: PoisonFlag,
@@ -155,8 +152,6 @@ fn build_session(
         if full > 0 {
             let mut rounded = state.clone();
             rounded.session_words = full;
-            rounded.words_served = full;
-            rounded.degraded_words = 0;
             if session.try_restore(&rounded).is_err() {
                 // A declined (or partially applied) restore leaves the
                 // session unusable; replay from a fresh one.

@@ -427,7 +427,6 @@ fn lane_creation_routes_around_a_poisoned_home_shard_under_failover() {
         golden_expander(1, 1, 64),
         "failed-over lane diverged from its golden"
     );
-    assert_eq!(lane.degraded_words(), 0);
 }
 
 #[test]
@@ -460,7 +459,6 @@ fn blocking_clients_fail_over_when_the_shard_dies_with_a_refill_owed() {
         golden_expander(1, 3, 400),
         "failed-over stream diverged from its golden"
     );
-    assert_eq!(client.degraded_words(), 0);
 }
 
 #[test]
@@ -487,7 +485,6 @@ fn get_next_rand_retries_stalls_instead_of_panicking() {
         golden_expander(8, 0, 12),
         "retried stalls must not drop or reorder words"
     );
-    assert_eq!(client.degraded_words(), 0, "TryFor never degrades");
 }
 
 /// A session whose every refill takes `delay` — the stall probe.
@@ -590,51 +587,6 @@ fn try_for_multi_word_fills_spanning_refills_lose_no_words() {
 }
 
 #[test]
-fn degrade_fallback_words_are_accounted_separately_and_sum_to_words_served() {
-    // A deliberately slow session forces the Degrade policy to serve a
-    // mix of fallback and session words. Every delivered word has
-    // exactly one provenance: session_words() counts prefetch-served
-    // words, degraded_words() counts inline-fallback words, and the two
-    // partitions always reassemble words_served().
-    let pool = Pool::builder(11)
-        .shards(1)
-        .prefetch_words(8)
-        .session(slow_kind(Duration::from_millis(5)))
-        .full_policy(FullPolicy::Degrade)
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let sizes = [3usize, 17, 1, 40, 9, 26];
-    let mut total = 0usize;
-    for (i, &take) in sizes.iter().cycle().take(60).enumerate() {
-        let mut buf = vec![0u64; take];
-        client.fill_words(&mut buf).unwrap();
-        total += take;
-        assert_eq!(
-            client.session_words() + client.degraded_words(),
-            client.words_served(),
-            "provenance partition broke after request {i}"
-        );
-        // Let the shard catch up occasionally so both paths serve.
-        if i % 10 == 9 {
-            std::thread::sleep(Duration::from_millis(12));
-        }
-    }
-    assert_eq!(client.words_served(), total as u64);
-    assert!(
-        client.degraded_words() > 0,
-        "a 5ms-per-refill shard under Degrade must serve fallback words"
-    );
-    assert!(
-        client.session_words() > 0,
-        "the session stream must still contribute words"
-    );
-    // The shard-visible aggregate agrees with the client's own count.
-    let stats = pool.stats();
-    assert_eq!(stats.degraded_words, client.degraded_words());
-}
-
-#[test]
 fn custom_sessions_with_mismatched_lanes_are_rejected() {
     // The factory advertises 4 lanes but builds single-lane sessions; the
     // shard must reject the attachment instead of desyncing buffer sizing
@@ -672,48 +624,6 @@ fn auto_assigned_ids_skip_explicitly_claimed_lanes() {
     // The auto counter walks 0, 1, 2, 3, … but 1 and 2 are claimed: the
     // auto clients must land on 0, 3, 4 — no silent lane duplication.
     assert_eq!(autos, vec![0, 3, 4]);
-}
-
-#[test]
-fn degrade_serves_fallback_words_while_the_shard_is_behind() {
-    let pool = Pool::builder(8)
-        .shards(1)
-        .prefetch_words(4)
-        .session(slow_kind(Duration::from_millis(20)))
-        .full_policy(FullPolicy::Degrade)
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let mut got = vec![0u64; 8];
-    client.fill_words(&mut got).unwrap(); // never blocks, never errors
-    assert!(client.degraded_words() > 0, "20ms refills must degrade");
-    // Once the shard catches up, the session stream resumes: the next
-    // draws come from the refilled buffers, not the fallback.
-    std::thread::sleep(Duration::from_millis(200));
-    let degraded_before = client.degraded_words();
-    let mut more = vec![0u64; 4];
-    client.fill_words(&mut more).unwrap();
-    assert_eq!(client.degraded_words(), degraded_before);
-    assert_eq!(more, golden_expander(8, 0, 4), "session stream resumed");
-    assert_eq!(client.words_served(), 12);
-    assert_eq!(pool.stats().degraded_words, client.degraded_words());
-}
-
-#[test]
-fn degrade_outlives_a_poisoned_shard() {
-    let pool = Pool::builder(1)
-        .shards(1)
-        .prefetch_words(8)
-        .session(panicking_kind(0, 0))
-        .full_policy(FullPolicy::Degrade)
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    // Every draw succeeds forever: the fallback stream takes over.
-    let mut got = vec![0u64; 500];
-    client.fill_words(&mut got).unwrap();
-    assert!(client.degraded_words() > 0);
-    assert_eq!(client.words_served(), 500);
 }
 
 #[test]

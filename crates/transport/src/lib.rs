@@ -21,9 +21,6 @@
 //!   blocks are cleared (so [`BlockPool::checkout_zeroed`] can promise
 //!   all-zero content), and oversized blocks are shrunk on return so one
 //!   peak request cannot pin its capacity forever.
-//! * [`backpressure`] — [`Backpressure`]: the single policy enum for
-//!   what a consumer does when its producer falls behind (block, fail
-//!   fast after a patience, or degrade to a caller-provided fallback).
 //! * [`shutdown`] — the shutdown-flag-before-close protocol:
 //!   [`ShutdownFlag`] is flipped *before* any queue closes so a
 //!   disconnected peer can [`classify`](ShutdownFlag::classify_disconnect)
@@ -45,16 +42,14 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod backpressure;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod ring;
 pub mod shutdown;
 
 pub use arena::{ArenaStats, BlockPool};
-pub use backpressure::Backpressure;
 pub use ring::{
     bounded, bounded_instrumented, ping_pong, BlockRing, RecvTimeoutError, RingInstruments,
-    RingReceiver, RingSender, SendError, TryRecvError, TrySendError, PING_PONG_SLOTS,
+    RingReceiver, RingSender, SendError, TrySendError, PING_PONG_SLOTS,
 };
 pub use shutdown::{Disconnect, PoisonFlag, PoisonGuard, ShutdownFlag};

@@ -50,15 +50,6 @@ pub enum TrySendError<T> {
     Disconnected(T),
 }
 
-/// Why a [`RingReceiver::try_recv`] returned nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No block is queued right now, but producers are still alive.
-    Empty,
-    /// Every producer is gone and the ring is drained.
-    Disconnected,
-}
-
 /// Why a [`RingReceiver::recv_timeout`] returned nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvTimeoutError {
@@ -266,18 +257,6 @@ impl<T> RingReceiver<T> {
         self.take(&mut inner)
     }
 
-    /// Takes the oldest block if one is queued right now; never blocks.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        #[cfg(feature = "chaos")]
-        crate::chaos::act(crate::chaos::FaultPoint::RingRecv);
-        let mut inner = lock(&self.ring);
-        match self.take(&mut inner) {
-            Some(value) => Ok(value),
-            None if inner.producers == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
-
     /// Takes the oldest block, waiting up to `patience` for one to
     /// arrive. On [`RecvTimeoutError::Timeout`] the stream is intact —
     /// calling again resumes the wait for the same in-flight block.
@@ -424,16 +403,6 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(5)),
             Err(RecvTimeoutError::Disconnected)
         );
-    }
-
-    #[test]
-    fn try_recv_distinguishes_empty_from_disconnected() {
-        let (tx, rx) = bounded::<u64>(2);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(5).unwrap();
-        assert_eq!(rx.try_recv(), Ok(5));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

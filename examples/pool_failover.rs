@@ -115,8 +115,8 @@ fn main() -> hybrid_prng::Result<()> {
         survived.transmittance / survived.photons as f64,
     );
     println!(
-        "  poisoned shards {:?}, automatic failovers {}, degraded words {}",
-        stats.poisoned_shards, stats.failovers, stats.degraded_words
+        "  poisoned shards {:?}, automatic failovers {}",
+        stats.poisoned_shards, stats.failovers
     );
     assert_eq!(stats.poisoned_shards, vec![1], "the rigged shard must die");
     assert!(stats.failovers >= 1, "at least one client must fail over");

@@ -42,8 +42,8 @@ fn main() -> hybrid_prng::Result<()> {
 
     let stats = pool.stats();
     println!(
-        "  served {} words over {} refills ({} clients, {} degraded words)",
-        stats.words, stats.refills, stats.clients, stats.degraded_words
+        "  served {} words over {} refills ({} clients)",
+        stats.words, stats.refills, stats.clients
     );
 
     let replay = Pool::builder(seed).shards(1).build()?;
