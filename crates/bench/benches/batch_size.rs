@@ -13,7 +13,7 @@ fn bench_batch_size(c: &mut Criterion) {
             b.iter(|| {
                 let mut hybrid = HybridPrng::new(
                     DeviceConfig::tesla_c1060(),
-                    HybridParams::with_batch_size(s),
+                    HybridParams::builder().batch_size(s).build().unwrap(),
                     7,
                 );
                 hybrid.try_generate(200_000).unwrap().1.sim_ns

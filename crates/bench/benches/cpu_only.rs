@@ -11,7 +11,7 @@ fn bench_cpu_only(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function(BenchmarkId::from_parameter("hybrid-cpu-parallel"), |b| {
-        let gen = CpuParallelPrng::new(1, 0);
+        let gen = CpuParallelPrng::per_cpu(1);
         let mut out = vec![0u64; N];
         b.iter(|| gen.fill(&mut out))
     });

@@ -8,7 +8,7 @@
 
 use hprng_baselines::{Kiss, Mt19937, Mt19937_64, Mwc64, SplitMix64, Xorwow};
 use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{CpuParallelPrng, ExpanderWalkRng, GlibcFeed, HybridPrng, PipelineMode};
+use hprng_core::{CpuParallelPrng, ExpanderWalkRng, GlibcFeed, HybridPrng};
 use hprng_gpu_sim::{Device, DeviceConfig};
 use hprng_monitor::{MonitorConfig, MonitorHandle};
 use hprng_telemetry::{busy_fractions, chrome_trace, json, Recorder, Stage};
@@ -93,54 +93,36 @@ fn engine_words_per_s<B: Backend>(mut engine: Engine<B>, threads: usize, words: 
     words as f64 / wall.elapsed().as_secs_f64().max(1e-12)
 }
 
-fn mode_name(mode: PipelineMode) -> &'static str {
-    match mode.resolve() {
-        PipelineMode::Concurrent => "concurrent",
-        _ => "synchronous",
-    }
-}
-
-/// Benchmarks the engine matrix — both backends in both modes — and
-/// reports host words/s per configuration plus what the default
-/// [`PipelineMode::Auto`] resolves to on this host.
+/// Benchmarks the engine on both backends and reports host words/s for
+/// each.
 pub fn engine_bench(seed: u64, words: usize) -> json::Value {
     let params = hprng_core::HybridParams::default();
     let threads = params.batch_size.max(1) as usize * 64;
-    let mut modes = Vec::new();
-    for mode in [PipelineMode::Synchronous, PipelineMode::Concurrent] {
-        let device = Device::new(DeviceConfig::tesla_c1060());
-        let dev_wps = engine_words_per_s(
-            Engine::with_mode(
-                DeviceBackend::new(&device, params),
-                Box::new(GlibcFeed::from_master_seed(seed)),
-                mode,
+    let device = Device::new(DeviceConfig::tesla_c1060());
+    let feed = || Box::new(GlibcFeed::from_master_seed(seed));
+    let rates = [
+        (
+            "gpu-sim",
+            engine_words_per_s(
+                Engine::new(DeviceBackend::new(&device, params), feed()),
+                threads,
+                words,
             ),
-            threads,
-            words,
-        );
-        let cpu_wps = engine_words_per_s(
-            Engine::with_mode(
-                CpuBackend::new(params),
-                Box::new(GlibcFeed::from_master_seed(seed)),
-                mode,
-            ),
-            threads,
-            words,
-        );
-        for (backend, wps) in [("gpu-sim", dev_wps), ("cpu-threads", cpu_wps)] {
-            let mut entry = json::Value::object();
-            entry.set("backend", json::Value::String(backend.to_string()));
-            entry.set("mode", json::Value::String(mode_name(mode).to_string()));
-            entry.set("words_per_s", json::Value::Number(wps));
-            modes.push(entry);
-        }
+        ),
+        (
+            "cpu-threads",
+            engine_words_per_s(Engine::new(CpuBackend::new(params), feed()), threads, words),
+        ),
+    ];
+    let mut backends = Vec::new();
+    for (backend, wps) in rates {
+        let mut entry = json::Value::object();
+        entry.set("backend", json::Value::String(backend.to_string()));
+        entry.set("words_per_s", json::Value::Number(wps));
+        backends.push(entry);
     }
     let mut obj = json::Value::object();
-    obj.set(
-        "default_mode",
-        json::Value::String(mode_name(PipelineMode::Auto).to_string()),
-    );
-    obj.set("modes", json::Value::Array(modes));
+    obj.set("backends", json::Value::Array(backends));
     obj
 }
 
@@ -157,65 +139,61 @@ fn fnv(data: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// One `apps.listrank` row: ranks `list` over `engine`, one lane per
+/// node, timing the engine's initialization and the ranking.
+fn listrank_row<B: Backend>(
+    backend: &str,
+    mut engine: Engine<B>,
+    list: &hprng_listrank::LinkedList,
+) -> json::Value {
+    let wall = Instant::now();
+    engine
+        .initialize(list.len())
+        .expect("the list is not empty");
+    let (ranks, red) = hprng_listrank::rank_on_session(list, &mut engine);
+    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+    let mut entry = json::Value::object();
+    entry.set("app", json::Value::String("listrank".to_string()));
+    entry.set("backend", json::Value::String(backend.to_string()));
+    entry.set("wall_ms", json::Value::Number(wall_ms));
+    entry.set("iterations", json::Value::Number(red.iterations as f64));
+    entry.set(
+        "feed_words",
+        json::Value::Number(engine.stats().feed_words as f64),
+    );
+    entry.set(
+        "ranks_fnv",
+        json::Value::String(format!("{:#018x}", fnv(ranks.iter().map(|&r| r as u64)))),
+    );
+    entry
+}
+
 /// Benchmarks both applications over the unified on-demand contract:
-/// list ranking swept across backend × pipeline mode (the ranks hash is
-/// reported so regression dashboards can assert bit-identity across the
-/// whole matrix), photon migration across lane families.
+/// list ranking on both engine backends (the ranks hash is reported so
+/// regression dashboards can assert the backends agree bit for bit),
+/// photon migration across lane families.
 pub fn apps_bench(seed: u64) -> json::Value {
     use hprng_core::ExpanderLanes;
-    use hprng_listrank::{rank_on_session, LinkedList};
+    use hprng_listrank::LinkedList;
     use hprng_montecarlo::{run_simulation_on, RandomSupply, SimConfig, Tissue};
 
     let n = 4_000;
     let list = LinkedList::random(n, &mut SplitMix64::new(seed));
     let params = hprng_core::HybridParams::default();
-    let mut listrank_rows = Vec::new();
-    for mode in [PipelineMode::Synchronous, PipelineMode::Concurrent] {
-        let device = Device::new(DeviceConfig::tesla_c1060());
-        let mut run = |backend: &str, mut rank: Box<dyn FnMut() -> (Vec<u32>, usize, u64)>| {
-            let wall = Instant::now();
-            let (ranks, iterations, feed_words) = rank();
-            let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-            let mut entry = json::Value::object();
-            entry.set("app", json::Value::String("listrank".to_string()));
-            entry.set("backend", json::Value::String(backend.to_string()));
-            entry.set("mode", json::Value::String(mode_name(mode).to_string()));
-            entry.set("wall_ms", json::Value::Number(wall_ms));
-            entry.set("iterations", json::Value::Number(iterations as f64));
-            entry.set("feed_words", json::Value::Number(feed_words as f64));
-            entry.set(
-                "ranks_fnv",
-                json::Value::String(format!("{:#018x}", fnv(ranks.iter().map(|&r| r as u64)))),
-            );
-            listrank_rows.push(entry);
-        };
-        run(
+    let device = Device::new(DeviceConfig::tesla_c1060());
+    let feed = || Box::new(GlibcFeed::from_master_seed(seed));
+    let listrank_rows = vec![
+        listrank_row(
             "gpu-sim",
-            Box::new(|| {
-                let mut engine = Engine::with_mode(
-                    DeviceBackend::new(&device, params),
-                    Box::new(GlibcFeed::from_master_seed(seed)),
-                    mode,
-                );
-                engine.initialize(n).expect("n is positive");
-                let (ranks, red) = rank_on_session(&list, &mut engine);
-                (ranks, red.iterations, engine.stats().feed_words)
-            }),
-        );
-        run(
+            Engine::new(DeviceBackend::new(&device, params), feed()),
+            &list,
+        ),
+        listrank_row(
             "cpu-threads",
-            Box::new(|| {
-                let mut engine = Engine::with_mode(
-                    CpuBackend::new(params),
-                    Box::new(GlibcFeed::from_master_seed(seed)),
-                    mode,
-                );
-                engine.initialize(n).expect("n is positive");
-                let (ranks, red) = rank_on_session(&list, &mut engine);
-                (ranks, red.iterations, engine.stats().feed_words)
-            }),
-        );
-    }
+            Engine::new(CpuBackend::new(params), feed()),
+            &list,
+        ),
+    ];
 
     let tissue = Tissue::three_layer();
     let cfg = SimConfig {
@@ -243,7 +221,7 @@ pub fn apps_bench(seed: u64) -> json::Value {
         "expander-lanes",
         run_simulation_on(&tissue, photons, &cfg, &expander_lanes),
     );
-    let cpu_lanes = CpuParallelPrng::new(seed, 4);
+    let cpu_lanes = CpuParallelPrng::try_new(seed, 4).expect("four lanes");
     mc_entry(
         "cpu-parallel",
         run_simulation_on(&tissue, photons, &cfg, &cpu_lanes),
@@ -280,10 +258,9 @@ pub fn pool_bench(seed: u64, words: usize) -> json::Value {
     // Each consumer locks the one engine per 64-word batch — the naive
     // many-consumers design the pool replaces.
     let mutex_words_per_s = |consumers: usize| -> f64 {
-        let mut engine = Engine::with_mode(
+        let mut engine = Engine::new(
             CpuBackend::new(params),
             Box::new(GlibcFeed::from_master_seed(seed)),
-            PipelineMode::Synchronous,
         );
         engine.initialize(LANES).expect("LANES is positive");
         let shared = Mutex::new(engine);
@@ -741,7 +718,7 @@ pub fn bench_json(seed: u64, words: usize) -> json::Value {
     push("kiss", words_per_s(|| kiss.next_u64(), words));
     let mut xw = Xorwow::new(seed);
     push("xorwow", words_per_s(|| xw.next_u64(), words));
-    let cpu = CpuParallelPrng::new(seed, 0);
+    let cpu = CpuParallelPrng::per_cpu(seed);
     push("cpu_parallel", {
         let start = Instant::now();
         let mut produced = 0usize;
@@ -868,25 +845,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_bench_covers_the_backend_mode_matrix() {
+    fn engine_bench_covers_both_backends() {
         let doc = engine_bench(3, 20_000);
-        let modes = doc.get("modes").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(modes.len(), 4);
-        for entry in modes {
+        let backends = doc.get("backends").and_then(|m| m.as_array()).unwrap();
+        assert_eq!(backends.len(), 2);
+        for entry in backends {
             assert!(
                 entry.get("words_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0,
                 "zero throughput in {entry:?}"
             );
         }
-        let default_mode = doc.get("default_mode").and_then(|v| v.as_str()).unwrap();
-        assert!(default_mode == "synchronous" || default_mode == "concurrent");
     }
 
     #[test]
-    fn apps_sweep_ranks_are_bit_identical_across_the_matrix() {
+    fn apps_sweep_ranks_are_bit_identical_across_backends() {
         let doc = apps_bench(3);
         let rows = doc.get("listrank").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(rows.len(), 4); // 2 backends × 2 modes
+        assert_eq!(rows.len(), 2); // one per backend
         let hashes: Vec<&str> = rows
             .iter()
             .map(|r| r.get("ranks_fnv").and_then(|v| v.as_str()).unwrap())

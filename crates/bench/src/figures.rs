@@ -118,7 +118,10 @@ pub fn fig5(n: usize, batches: &[u32], seed: u64) -> Vec<Fig5Row> {
         .map(|&s| {
             let mut hybrid = HybridPrng::new(
                 DeviceConfig::tesla_c1060(),
-                HybridParams::with_batch_size(s),
+                HybridParams::builder()
+                    .batch_size(s)
+                    .build()
+                    .expect("batch sizes are positive"),
                 seed,
             );
             let (_, stats) = hybrid.try_generate(n).expect("n > 0");
@@ -183,14 +186,15 @@ pub fn fig6(sizes: &[usize], seed: u64) -> Vec<Fig6Row> {
         .iter()
         .map(|&n| {
             let hybrid_cpu_ns = if measured_parallel {
-                let gen = CpuParallelPrng::new(seed, MODELED_CPU_CORES);
+                let gen = CpuParallelPrng::try_new(seed, MODELED_CPU_CORES)
+                    .expect("a positive core count");
                 let t0 = Instant::now();
                 let out = gen.generate(n);
                 std::hint::black_box(&out);
                 t0.elapsed().as_nanos() as f64
             } else {
                 // Measure one walk; scale by the modeled core count.
-                let gen = CpuParallelPrng::new(seed, 1);
+                let gen = CpuParallelPrng::try_new(seed, 1).expect("one walk");
                 let mut rng = gen.worker_rng(0);
                 let t0 = Instant::now();
                 let mut acc = 0u64;

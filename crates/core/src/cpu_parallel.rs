@@ -26,39 +26,15 @@ pub struct CpuParallelPrng {
 }
 
 impl CpuParallelPrng {
-    /// Creates a generator with `threads` parallel walks.
-    ///
-    /// Legacy convention: `threads == 0` silently means "one per available
-    /// CPU", which predates the validating API. New code should say what it
-    /// means with [`CpuParallelPrng::per_cpu`] for the all-CPUs case or
-    /// [`CpuParallelPrng::try_new`] for a checked explicit count.
-    pub fn new(seed: u64, threads: usize) -> Self {
-        Self::with_params(seed, threads, WalkParams::default())
-    }
-
-    /// Creates a generator with explicit walk parameters (`threads == 0`
-    /// resolves as in [`CpuParallelPrng::new`]).
-    pub fn with_params(seed: u64, threads: usize, params: WalkParams) -> Self {
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        };
-        Self {
-            seed,
-            threads,
-            params,
-        }
-    }
-
-    /// Creates a generator with a checked walk count: zero is rejected
+    /// Creates a generator with `threads` parallel walks. Zero is rejected
     /// through the same [`HprngError::InvalidParam`] path the parameter
-    /// builders use, instead of being silently reinterpreted.
+    /// builders use; [`CpuParallelPrng::per_cpu`] asks for one walk per
+    /// available CPU.
     pub fn try_new(seed: u64, threads: usize) -> Result<Self, HprngError> {
         Self::try_with_params(seed, threads, WalkParams::default())
     }
 
-    /// Checked variant of [`CpuParallelPrng::with_params`].
+    /// [`CpuParallelPrng::try_new`] with explicit walk parameters.
     pub fn try_with_params(
         seed: u64,
         threads: usize,
@@ -77,8 +53,7 @@ impl CpuParallelPrng {
         })
     }
 
-    /// Creates a generator with one walk per available CPU — the explicit
-    /// spelling of the legacy `threads == 0` convention.
+    /// Creates a generator with one walk per available CPU.
     pub fn per_cpu(seed: u64) -> Self {
         Self::per_cpu_with_params(seed, WalkParams::default())
     }
@@ -213,7 +188,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_thread_count() {
-        let g = CpuParallelPrng::new(5, 4);
+        let g = CpuParallelPrng::try_new(5, 4).unwrap();
         let a = g.generate(10_000);
         let b = g.generate(10_000);
         assert_eq!(a, b);
@@ -221,7 +196,7 @@ mod tests {
 
     #[test]
     fn workers_produce_disjoint_streams() {
-        let g = CpuParallelPrng::new(5, 4);
+        let g = CpuParallelPrng::try_new(5, 4).unwrap();
         let mut r0 = g.worker_rng(0);
         let mut r1 = g.worker_rng(1);
         let same = (0..100).filter(|_| r0.next_u64() == r1.next_u64()).count();
@@ -230,7 +205,7 @@ mod tests {
 
     #[test]
     fn first_chunk_matches_worker_zero() {
-        let g = CpuParallelPrng::new(9, 4);
+        let g = CpuParallelPrng::try_new(9, 4).unwrap();
         let out = g.generate(1000);
         let mut r0 = g.worker_rng(0);
         for &v in &out[..250] {
@@ -239,15 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_means_all_cpus() {
-        let g = CpuParallelPrng::new(1, 0);
+    fn per_cpu_runs_one_walk_per_cpu() {
+        let g = CpuParallelPrng::per_cpu(1);
         assert!(g.threads() >= 1);
         assert_eq!(g.threads(), rayon::current_num_threads());
-        // per_cpu is the explicit spelling of the same convention and
-        // produces the identical stream.
-        let e = CpuParallelPrng::per_cpu(1);
-        assert_eq!(e.threads(), g.threads());
-        assert_eq!(e.generate(256), g.generate(256));
+        let explicit = CpuParallelPrng::try_new(1, g.threads()).unwrap();
+        assert_eq!(g.generate(256), explicit.generate(256));
     }
 
     #[test]
@@ -262,13 +234,11 @@ mod tests {
         ));
         let g = CpuParallelPrng::try_new(1, 4).unwrap();
         assert_eq!(g.threads(), 4);
-        // The checked and legacy constructors agree for positive counts.
-        assert_eq!(g.generate(512), CpuParallelPrng::new(1, 4).generate(512));
     }
 
     #[test]
     fn empty_and_tiny_outputs() {
-        let g = CpuParallelPrng::new(1, 8);
+        let g = CpuParallelPrng::try_new(1, 8).unwrap();
         let mut empty: [u64; 0] = [];
         g.fill(&mut empty);
         let out = g.generate(3); // fewer numbers than threads

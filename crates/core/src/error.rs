@@ -35,9 +35,6 @@ pub enum HprngError {
     },
     /// The simulated device configuration was rejected.
     Config(ConfigError),
-    /// The concurrent engine's FEED producer thread ended (it panicked or
-    /// was torn down) while more raw bits were still needed.
-    FeedDisconnected,
     /// A randomness-pool shard did not refill a client's prefetch cache
     /// within the configured patience (`FullPolicy::TryFor`). The client
     /// stays usable: the next request retries the same refill.
@@ -88,9 +85,6 @@ impl fmt::Display for HprngError {
                 write!(f, "invalid parameter {field}: {reason}")
             }
             HprngError::Config(e) => write!(f, "{e}"),
-            HprngError::FeedDisconnected => {
-                write!(f, "the FEED producer thread ended before the pipeline")
-            }
             HprngError::ShardStalled { shard } => {
                 write!(f, "pool shard {shard} stalled past the refill patience")
             }

@@ -10,11 +10,8 @@
 //!
 //! This module is the ergonomic facade: [`HybridPrng`] and
 //! [`HybridSession`] wrap an [`Engine`] on the
-//! [`DeviceBackend`](crate::pipeline::DeviceBackend), with the FEED stage
-//! on a real producer thread when
-//! [`HybridParams::mode`](crate::params::HybridParams::mode) resolves to
-//! concurrent. The stage components themselves live in
-//! [`crate::pipeline`].
+//! [`DeviceBackend`](crate::pipeline::DeviceBackend). The stage components
+//! themselves live in [`crate::pipeline`].
 
 use crate::error::HprngError;
 use crate::params::HybridParams;
@@ -68,7 +65,7 @@ impl HybridPrng {
         self.device.reset_timeline();
         let backend = DeviceBackend::new(&self.device, self.params);
         let feed = Box::new(GlibcFeed::from_master_seed(self.seed));
-        let mut engine = Engine::with_mode(backend, feed, self.params.mode);
+        let mut engine = Engine::new(backend, feed);
         engine.initialize(threads)?;
         Ok(HybridSession { engine })
     }
@@ -87,7 +84,7 @@ impl HybridPrng {
         self.device.reset_timeline();
         let backend = DeviceBackend::new(&self.device, self.params);
         let feed = Box::new(GlibcFeed::from_master_seed(self.seed));
-        let mut engine = Engine::with_mode(backend, feed, self.params.mode);
+        let mut engine = Engine::new(backend, feed);
         engine.restore_from(state)?;
         Ok(HybridSession { engine })
     }
@@ -131,11 +128,6 @@ impl HybridSession<'_> {
     /// (Algorithm 3 interleaves ranking kernels with GetNextRand batches).
     pub fn device(&self) -> &Device {
         self.engine.backend().device()
-    }
-
-    /// The engine behind the facade, for mode introspection.
-    pub fn engine(&self) -> &Engine<DeviceBackend<'_>> {
-        &self.engine
     }
 
     /// Attaches a streaming word tap (e.g. a quality monitor's sampling
@@ -187,17 +179,14 @@ impl HybridSession<'_> {
 
     /// The session's telemetry so far: FEED/GENERATE/TRANSFER host spans,
     /// the `iterations`/`feed_words`/`numbers` counters, and the per-call
-    /// `batch_latency_ns` histogram. In concurrent mode the producer
-    /// thread's FEED spans are merged in by
-    /// [`HybridSession::take_telemetry`], not visible here.
+    /// `batch_latency_ns` histogram.
     pub fn telemetry(&self) -> &Recorder {
         self.engine.telemetry()
     }
 
     /// Takes the telemetry recorder out of the session, first syncing the
     /// stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
-    /// `gnumbers_per_s`) from the current [`PipelineStats`] and merging
-    /// the FEED producer thread's spans (concurrent mode). Pair the
+    /// `gnumbers_per_s`) from the current [`PipelineStats`]. Pair the
     /// result with [`HybridSession::timeline`] and
     /// `hprng_telemetry::chrome_trace` for a merged host + device trace.
     pub fn take_telemetry(&mut self) -> Recorder {
@@ -251,16 +240,10 @@ impl crate::ondemand::OnDemandRng for HybridSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::PipelineMode;
     use hprng_gpu_sim::{DeviceConfig, WorkUnit};
 
     fn tiny_prng(seed: u64) -> HybridPrng {
         HybridPrng::new(DeviceConfig::test_tiny(), HybridParams::default(), seed)
-    }
-
-    fn tiny_prng_in_mode(seed: u64, mode: PipelineMode) -> HybridPrng {
-        let params = HybridParams::builder().mode(mode).build().unwrap();
-        HybridPrng::new(DeviceConfig::test_tiny(), params, seed)
     }
 
     #[test]
@@ -294,27 +277,6 @@ mod tests {
         assert_eq!(s1.sim_ns, s2.sim_ns);
         assert_eq!(s1.feed_words, s2.feed_words);
         assert_eq!(s1.iterations, s2.iterations);
-    }
-
-    #[test]
-    fn concurrent_mode_matches_synchronous_bit_for_bit() {
-        // The facade-level golden check: same seed, same batches, the two
-        // engine modes must agree on numbers AND simulated accounting.
-        let mut sync = tiny_prng_in_mode(42, PipelineMode::Synchronous);
-        let mut conc = tiny_prng_in_mode(42, PipelineMode::Concurrent);
-        let mut s_sess = sync.try_session(64).unwrap();
-        let mut c_sess = conc.try_session(64).unwrap();
-        for count in [64usize, 10, 33, 64] {
-            assert_eq!(
-                s_sess.try_next_batch(count).unwrap(),
-                c_sess.try_next_batch(count).unwrap(),
-                "batch of {count} diverged"
-            );
-        }
-        let (s, c) = (s_sess.stats(), c_sess.stats());
-        assert_eq!(s.sim_ns, c.sim_ns);
-        assert_eq!(s.feed_words, c.feed_words);
-        assert_eq!(s.iterations, c.iterations);
     }
 
     #[test]
@@ -451,9 +413,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_match_stats() {
-        // Span-count assertions below assume the inline FEED path, so pin
-        // synchronous mode; counters are mode-invariant.
-        let mut prng = tiny_prng_in_mode(5, PipelineMode::Synchronous);
+        let mut prng = tiny_prng(5);
         let mut session = prng.try_session(32).unwrap();
         session.try_next_batch(32).unwrap();
         session.try_next_batch(7).unwrap();

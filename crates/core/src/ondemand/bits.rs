@@ -183,11 +183,11 @@ mod tests {
         let mut reference = SplitMix64::new(1);
         let w0 = reference.next_u64();
         let w1 = reference.next_u64();
-        for j in 0..64 {
-            assert_eq!(out[j], (w0 >> j & 1) as u8);
+        for (j, &bit) in out[..64].iter().enumerate() {
+            assert_eq!(bit, (w0 >> j & 1) as u8);
         }
-        for j in 0..36 {
-            assert_eq!(out[64 + j], (w1 >> j & 1) as u8);
+        for (j, &bit) in out[64..].iter().enumerate() {
+            assert_eq!(bit, (w1 >> j & 1) as u8);
         }
         assert_eq!(bits.source().words_served(), 2);
     }

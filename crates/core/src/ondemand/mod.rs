@@ -39,7 +39,7 @@ pub use bits::{BatchBits, BitProvider, OnDemandBits, TappedBits};
 /// Implementations must uphold the on-demand invariant that the stream a
 /// consumer observes depends only on the provider's seed and the sequence
 /// of requests, never on how requests are batched by the runtime
-/// (pipeline mode, worker count, ring-buffer chunking).
+/// (worker count, shard count, prefetch block size).
 ///
 /// [`try_next_batch_into`]: OnDemandRng::try_next_batch_into
 /// [`get_next_rand`]: OnDemandRng::get_next_rand

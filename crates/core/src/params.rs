@@ -161,57 +161,23 @@ impl Default for CostModel {
     }
 }
 
-/// How the pipeline engine schedules the FEED stage relative to GENERATE.
+/// Compatibility shim for code written against the three-mode engine.
+///
+/// The engine has one FEED schedule: the feed fills each batch inline on
+/// the calling thread. Nothing in the workspace reads this enum; it keeps
+/// one value so that code naming `PipelineMode::Auto` or calling
+/// [`Engine::with_mode`](crate::Engine::with_mode) still compiles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// Pick per host: concurrent when more than one CPU is available,
-    /// synchronous otherwise (a producer thread on a single core only adds
-    /// context switches). This is the default.
+    /// The one FEED schedule.
     #[default]
     Auto,
-    /// FEED runs inline on the calling thread — the bit-exact reference
-    /// path, identical to the pre-pipeline monolithic session.
-    Synchronous,
-    /// FEED runs on its own producer thread behind the two-slot ping-pong
-    /// ring, overlapping with GENERATE as in the paper's Figure 4.
-    Concurrent,
 }
 
 impl PipelineMode {
-    /// Resolves [`PipelineMode::Auto`] against the current host; the
-    /// explicit modes return themselves.
-    ///
-    /// The host's CPU count comes from `std::thread::available_parallelism`
-    /// (treated as 1 when unavailable); the selection rule itself is
-    /// [`PipelineMode::resolve_for`].
+    /// Returns `self`: there is nothing left to resolve.
     pub fn resolve(self) -> PipelineMode {
-        let cpus = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.resolve_for(cpus)
-    }
-
-    /// The documented `Auto` selection rule, as a pure function of the
-    /// CPU count: `Auto` becomes [`PipelineMode::Concurrent`] exactly when
-    /// `cpus > 1`, and [`PipelineMode::Synchronous`] otherwise — on a
-    /// single core a FEED producer thread cannot overlap with GENERATE and
-    /// only adds context switches. Explicit modes return themselves
-    /// regardless of `cpus`. A `cpus` of zero (a nonsensical host report)
-    /// is treated as one.
-    ///
-    /// Mode selection never changes the generated numbers — the modes are
-    /// bit-identical by construction — only the threading.
-    pub fn resolve_for(self, cpus: usize) -> PipelineMode {
-        match self {
-            PipelineMode::Auto => {
-                if cpus > 1 {
-                    PipelineMode::Concurrent
-                } else {
-                    PipelineMode::Synchronous
-                }
-            }
-            explicit => explicit,
-        }
+        self
     }
 }
 
@@ -234,10 +200,6 @@ pub struct HybridParams {
     /// Whether `generate` copies the results back to the host (off by
     /// default: the paper's applications consume the numbers on the device).
     pub copy_back: bool,
-    /// How the engine schedules FEED relative to GENERATE. The default
-    /// [`PipelineMode::Auto`] never changes the generated numbers — modes
-    /// are bit-identical by construction — only the threading.
-    pub mode: PipelineMode,
 }
 
 impl Default for HybridParams {
@@ -247,29 +209,11 @@ impl Default for HybridParams {
             batch_size: 100,
             cost: CostModel::default(),
             copy_back: false,
-            mode: PipelineMode::Auto,
         }
     }
 }
 
 impl HybridParams {
-    /// Convenience: default parameters with a specific batch size.
-    ///
-    /// Deprecated in favour of
-    /// `HybridParams::builder().batch_size(s).build()?`, which reports the
-    /// zero-batch case as an [`HprngError`] instead of panicking; kept as a
-    /// thin wrapper for existing callers.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(batch_size: u32) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            batch_size,
-            ..Self::default()
-        }
-    }
-
     /// A fluent, validating builder seeded from the paper's defaults.
     ///
     /// ```
@@ -319,12 +263,6 @@ impl HybridParamsBuilder {
         self
     }
 
-    /// Sets how the engine schedules FEED relative to GENERATE.
-    pub fn mode(mut self, mode: PipelineMode) -> Self {
-        self.params.mode = mode;
-        self
-    }
-
     /// Validates and produces the parameters.
     pub fn build(self) -> Result<HybridParams, HprngError> {
         if self.params.batch_size == 0 {
@@ -371,60 +309,6 @@ mod tests {
             ..WalkParams::default()
         };
         assert_eq!(shorter.words_per_number(), 2);
-    }
-
-    #[test]
-    fn pipeline_mode_resolution() {
-        assert_eq!(
-            PipelineMode::Synchronous.resolve(),
-            PipelineMode::Synchronous
-        );
-        assert_eq!(PipelineMode::Concurrent.resolve(), PipelineMode::Concurrent);
-        // Auto always resolves to one of the explicit modes.
-        assert_ne!(PipelineMode::Auto.resolve(), PipelineMode::Auto);
-        assert_eq!(HybridParams::default().mode, PipelineMode::Auto);
-    }
-
-    #[test]
-    fn auto_selection_rule_is_explicit() {
-        // The documented rule: Auto → Concurrent iff cpus > 1.
-        assert_eq!(PipelineMode::Auto.resolve_for(1), PipelineMode::Synchronous);
-        assert_eq!(
-            PipelineMode::Auto.resolve_for(0), // degenerate host report
-            PipelineMode::Synchronous
-        );
-        for cpus in [2usize, 4, 64, 1024] {
-            assert_eq!(
-                PipelineMode::Auto.resolve_for(cpus),
-                PipelineMode::Concurrent,
-                "cpus {cpus}"
-            );
-        }
-        // Explicit modes ignore the CPU count entirely.
-        for cpus in [0usize, 1, 2, 128] {
-            assert_eq!(
-                PipelineMode::Synchronous.resolve_for(cpus),
-                PipelineMode::Synchronous
-            );
-            assert_eq!(
-                PipelineMode::Concurrent.resolve_for(cpus),
-                PipelineMode::Concurrent
-            );
-        }
-        // resolve() applies the same rule to the live host.
-        let cpus = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        assert_eq!(
-            PipelineMode::Auto.resolve(),
-            PipelineMode::Auto.resolve_for(cpus)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_rejected() {
-        let _ = HybridParams::with_batch_size(0);
     }
 
     #[test]

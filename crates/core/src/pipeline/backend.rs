@@ -73,10 +73,10 @@ pub trait Backend {
     fn threads(&self) -> usize;
 
     /// Accounts a FEED of `words` raw 64-bit words on the backend's
-    /// simulated clock, if it keeps one. Called by the engine at the
-    /// moment the words are *consumed*, which keeps the simulated timeline
-    /// deterministic regardless of how far the real producer thread ran
-    /// ahead.
+    /// simulated clock, if it keeps one. Called by the engine each time it
+    /// pulls words from the feed; the charge depends on the word count
+    /// alone, so the simulated timeline is a pure function of the request
+    /// history.
     fn record_feed(&mut self, words: usize);
 
     /// Algorithm 1: installs `threads` walks from

@@ -1,43 +1,19 @@
 //! The pipeline engine: FEED → TRANSFER → GENERATE orchestration.
 //!
-//! [`Engine`] drives one [`BitFeed`] into one [`Backend`] in either of two
-//! modes:
-//!
-//! * **Synchronous** — the feed fills each batch's bits inline on the
-//!   calling thread, exactly like the pre-refactor monolithic session.
-//!   This is the bit-exact golden reference.
-//! * **Concurrent** — the feed runs on its own producer thread, pushing
-//!   fixed-size blocks through the two-slot ping-pong
-//!   [`ring`](crate::pipeline::ring) while the caller's thread runs
-//!   GENERATE. This is the paper's overlap (§IV-A, Figure 4) with real
-//!   threads instead of simulated ones.
-//!
-//! Both modes consume the *same* word stream in the same order (the ring
-//! only re-chunks it), and all simulated-clock accounting happens on the
-//! consumer thread keyed on word counts alone — so for a fixed
-//! `(seed, params, threads)` the two modes produce bit-identical numbers
-//! and identical simulated timelines. The golden suite pins this.
+//! [`Engine`] drives one [`BitFeed`] into one [`Backend`]: the feed fills
+//! each batch's raw words inline on the calling thread, and the backend's
+//! GENERATE stage turns them into numbers. The paper overlaps FEED with
+//! GENERATE (§IV-A, Figure 4); the device backend models that overlap on
+//! its simulated timeline, charged from word counts alone
+//! ([`Backend::record_feed`]).
 
 use crate::error::HprngError;
 use crate::params::PipelineMode;
 use crate::pipeline::backend::{init_words_per_thread, Backend};
 use crate::pipeline::feed::BitFeed;
-use crate::pipeline::ring::{self, RingReceiver};
 use hprng_gpu_sim::{Resource, Timeline};
 use hprng_telemetry::{Recorder, Stage, WordTap};
-use hprng_transport::BlockPool;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Words per block pushed through the ring by the concurrent feeder.
-///
-/// 1024 words = 8 KiB per slot: big enough to amortize ring locking, small
-/// enough that two in-flight slots stay cache-friendly. The value is *not*
-/// observable in the output — the consumer re-chunks blocks into exact
-/// batch sizes — so it can be retuned freely without shifting any golden
-/// stream.
-pub const RING_BLOCK_WORDS: usize = 1024;
 
 /// Summary of one pipeline run.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,82 +37,6 @@ pub struct PipelineStats {
     pub gnumbers_per_s: f64,
 }
 
-/// The FEED side of an engine: either inline on the caller's thread or a
-/// producer thread behind the ping-pong ring.
-enum FeedSource {
-    Inline(Box<dyn BitFeed>),
-    Worker(FeedWorker),
-}
-
-/// State of the concurrent producer: the consumer half of the ring, the
-/// partially-drained current block, and the thread handle for shutdown.
-struct FeedWorker {
-    rx: Option<RingReceiver<Vec<u64>>>,
-    pending: Vec<u64>,
-    cursor: usize,
-    join: Option<JoinHandle<()>>,
-    /// FEED spans recorded by the producer thread, on the same epoch as
-    /// the engine recorder so merged traces share one clock.
-    recorder: Arc<Mutex<Recorder>>,
-    /// Block arena shared with the producer: drained blocks go back here
-    /// instead of to the allocator, so steady state recycles the same
-    /// `PING_PONG_SLOTS + 1` allocations forever.
-    blocks: Arc<BlockPool>,
-}
-
-impl FeedWorker {
-    fn spawn(mut feed: Box<dyn BitFeed>, epoch: Instant) -> Self {
-        let recorder = Arc::new(Mutex::new(Recorder::with_epoch(epoch)));
-        let blocks = Arc::new(BlockPool::new(RING_BLOCK_WORDS, ring::PING_PONG_SLOTS + 1));
-        let (tx, rx) = ring::ping_pong::<Vec<u64>>();
-        let worker_recorder = Arc::clone(&recorder);
-        let worker_blocks = Arc::clone(&blocks);
-        let join = std::thread::Builder::new()
-            .name("hprng-feed".into())
-            .spawn(move || loop {
-                let token = lock(&worker_recorder).start_span(Stage::Feed, "feed_block");
-                let mut block = worker_blocks.checkout_zeroed(RING_BLOCK_WORDS);
-                feed.fill(&mut block);
-                {
-                    let mut rec = lock(&worker_recorder);
-                    rec.finish_span(token);
-                    rec.add("feed_blocks", 1.0);
-                }
-                if tx.send(block).is_err() {
-                    // Consumer gone: the engine was dropped or is shutting
-                    // down. Exit quietly; the unsent block is discarded.
-                    break;
-                }
-            })
-            .expect("spawning the FEED producer thread failed");
-        Self {
-            rx: Some(rx),
-            pending: Vec::new(),
-            cursor: 0,
-            join: Some(join),
-            recorder,
-            blocks,
-        }
-    }
-}
-
-impl Drop for FeedWorker {
-    fn drop(&mut self) {
-        // Drop the receiver first: a producer blocked on a full ring wakes
-        // with a SendError and exits, so the join below cannot deadlock.
-        self.rx.take();
-        if let Some(join) = self.join.take() {
-            // A panicked feeder already ended the stream; nothing useful
-            // to do with the payload during our own drop.
-            let _ = join.join();
-        }
-    }
-}
-
-fn lock(recorder: &Arc<Mutex<Recorder>>) -> std::sync::MutexGuard<'_, Recorder> {
-    recorder.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The stage-decoupled pipeline: one [`BitFeed`], one [`Backend`], and the
 /// on-demand batch interface between them.
 ///
@@ -145,63 +45,34 @@ fn lock(recorder: &Arc<Mutex<Recorder>>) -> std::sync::MutexGuard<'_, Recorder> 
 /// engine, which is what makes cross-backend golden tests meaningful.
 pub struct Engine<B: Backend> {
     backend: B,
-    feed: FeedSource,
-    mode: PipelineMode,
+    feed: Box<dyn BitFeed>,
     iterations: usize,
     feed_words: u64,
     numbers: usize,
     wall_start: Instant,
     recorder: Recorder,
     tap: Option<Box<dyn WordTap>>,
-    /// The feed's master seed, captured at construction (before the feed
-    /// may move onto its producer thread) so checkpoints can carry it.
-    feed_seed: Option<u64>,
 }
 
 impl<B: Backend> Engine<B> {
-    /// An engine in the given mode. [`PipelineMode::Auto`] resolves to
-    /// concurrent on multi-core hosts and synchronous on single-core ones
-    /// (where a producer thread only adds context switches).
-    pub fn with_mode(backend: B, feed: Box<dyn BitFeed>, mode: PipelineMode) -> Self {
-        let recorder = Recorder::new();
-        let mode = mode.resolve();
-        let feed_seed = feed.master_seed();
-        let feed = match mode {
-            PipelineMode::Concurrent => {
-                FeedSource::Worker(FeedWorker::spawn(feed, recorder.epoch()))
-            }
-            _ => FeedSource::Inline(feed),
-        };
+    /// An engine over `backend`, fed by `feed`.
+    pub fn new(backend: B, feed: Box<dyn BitFeed>) -> Self {
         Self {
             backend,
             feed,
-            mode,
             iterations: 0,
             feed_words: 0,
             numbers: 0,
             wall_start: Instant::now(),
-            recorder,
+            recorder: Recorder::new(),
             tap: None,
-            feed_seed,
         }
     }
 
-    /// The bit-exact single-threaded reference engine: the feed fills each
-    /// batch inline, as the monolithic pre-refactor session did.
-    pub fn synchronous(backend: B, feed: Box<dyn BitFeed>) -> Self {
-        Self::with_mode(backend, feed, PipelineMode::Synchronous)
-    }
-
-    /// An engine with the feed on its own producer thread behind the
-    /// ping-pong ring.
-    pub fn concurrent(backend: B, feed: Box<dyn BitFeed>) -> Self {
-        Self::with_mode(backend, feed, PipelineMode::Concurrent)
-    }
-
-    /// The resolved mode ([`PipelineMode::Synchronous`] or
-    /// [`PipelineMode::Concurrent`], never `Auto`).
-    pub fn mode(&self) -> PipelineMode {
-        self.mode
+    /// Compatibility shim for code written against the three-mode engine:
+    /// FEED has one schedule, so `mode` is ignored. Use [`Engine::new`].
+    pub fn with_mode(backend: B, feed: Box<dyn BitFeed>, _mode: PipelineMode) -> Self {
+        Self::new(backend, feed)
     }
 
     /// The backend, for platform-specific introspection (e.g. the
@@ -228,52 +99,16 @@ impl<B: Backend> Engine<B> {
         self.tap.take()
     }
 
-    /// Pulls exactly `words` raw words from the feed, whichever side of the
-    /// ring it lives on, and accounts them.
-    fn take_words(&mut self, words: usize) -> Result<Vec<u64>, HprngError> {
-        let buf = match &mut self.feed {
-            FeedSource::Inline(feed) => {
-                let token = self.recorder.start_span(Stage::Feed, "feed");
-                let mut buf = vec![0u64; words];
-                feed.fill(&mut buf);
-                self.recorder.finish_span(token);
-                buf
-            }
-            FeedSource::Worker(w) => {
-                // The ring re-chunks the stream; pulling `words` here yields
-                // the same prefix the inline path would have produced.
-                let token = self.recorder.start_span(Stage::Transfer, "ring_pull");
-                let mut buf = Vec::with_capacity(words);
-                while buf.len() < words {
-                    if w.cursor == w.pending.len() {
-                        match w.rx.as_ref().and_then(RingReceiver::recv) {
-                            Some(block) => {
-                                let drained = std::mem::replace(&mut w.pending, block);
-                                if drained.capacity() > 0 {
-                                    // Recycle the drained block to the feeder
-                                    // instead of the allocator.
-                                    w.blocks.give_back(drained);
-                                }
-                                w.cursor = 0;
-                            }
-                            None => return Err(HprngError::FeedDisconnected),
-                        }
-                    }
-                    let take = (words - buf.len()).min(w.pending.len() - w.cursor);
-                    buf.extend_from_slice(&w.pending[w.cursor..w.cursor + take]);
-                    w.cursor += take;
-                }
-                self.recorder.finish_span(token);
-                buf
-            }
-        };
-        // Simulated-clock accounting happens here, on the consumer thread,
-        // keyed only on the word count — never on how far the producer ran
-        // ahead — so the sim timeline is identical across modes.
+    /// Pulls exactly `words` raw words from the feed and accounts them.
+    fn take_words(&mut self, words: usize) -> Vec<u64> {
+        let token = self.recorder.start_span(Stage::Feed, "feed");
+        let mut buf = vec![0u64; words];
+        self.feed.fill(&mut buf);
+        self.recorder.finish_span(token);
         self.backend.record_feed(words);
         self.feed_words += words as u64;
         self.recorder.add("feed_words", words as f64);
-        Ok(buf)
+        buf
     }
 
     /// Algorithm 1: installs `threads` walks, consuming
@@ -285,7 +120,7 @@ impl<B: Backend> Engine<B> {
             return Err(HprngError::EmptySession);
         }
         let words = threads * init_words_per_thread(self.backend.params());
-        let bits = self.take_words(words)?;
+        let bits = self.take_words(words);
         self.backend.initialize(threads, &bits, &mut self.recorder);
         self.iterations += 1;
         self.recorder.add("iterations", 1.0);
@@ -319,7 +154,7 @@ impl<B: Backend> Engine<B> {
         }
         let batch_start_ns = self.recorder.now_ns();
         let words = count * self.backend.params().walk.words_per_number();
-        let bits = self.take_words(words)?;
+        let bits = self.take_words(words);
         self.backend.generate(count, &bits, out, &mut self.recorder);
         self.iterations += 1;
         self.numbers += count;
@@ -368,16 +203,13 @@ impl<B: Backend> Engine<B> {
         self.backend.timeline()
     }
 
-    /// The engine's own telemetry so far. In concurrent mode the producer
-    /// thread's FEED spans live in a separate recorder until
-    /// [`Engine::take_telemetry`] merges them.
+    /// The engine's own telemetry so far.
     pub fn telemetry(&self) -> &Recorder {
         &self.recorder
     }
 
-    /// Takes the merged telemetry out of the engine: consumer-side spans
-    /// and counters, the producer thread's FEED spans (concurrent mode),
-    /// and the stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
+    /// Takes the telemetry out of the engine: spans and counters, plus the
+    /// stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
     /// `gnumbers_per_s`) synced from the current [`PipelineStats`].
     pub fn take_telemetry(&mut self) -> Recorder {
         let stats = self.stats();
@@ -387,12 +219,7 @@ impl<B: Backend> Engine<B> {
         self.recorder
             .set_gauge("gnumbers_per_s", stats.gnumbers_per_s);
         let epoch = self.recorder.epoch();
-        let mut out = std::mem::replace(&mut self.recorder, Recorder::with_epoch(epoch));
-        if let FeedSource::Worker(w) = &mut self.feed {
-            let worker = std::mem::replace(&mut *lock(&w.recorder), Recorder::with_epoch(epoch));
-            out.absorb(worker);
-        }
-        out
+        std::mem::replace(&mut self.recorder, Recorder::with_epoch(epoch))
     }
 
     /// Captures the engine's resumable identity: the feed's master seed,
@@ -404,9 +231,12 @@ impl<B: Backend> Engine<B> {
     /// [`BitFeed::master_seed`](crate::pipeline::BitFeed::master_seed)) —
     /// without it a restore could not rebuild the raw-bit stream.
     pub fn checkpoint(&self) -> Result<crate::StreamState, HprngError> {
-        let seed = self.feed_seed.ok_or(HprngError::CheckpointUnsupported {
-            label: self.backend.label(),
-        })?;
+        let seed = self
+            .feed
+            .master_seed()
+            .ok_or(HprngError::CheckpointUnsupported {
+                label: self.backend.label(),
+            })?;
         let walks = self
             .backend
             .walk_labels()
@@ -452,7 +282,7 @@ impl<B: Backend> Engine<B> {
                 reason: "restore needs a freshly constructed engine",
             });
         }
-        match self.feed_seed {
+        match self.feed.master_seed() {
             Some(seed) if seed == state.seed => {}
             Some(_) => {
                 return Err(HprngError::RestoreMismatch {
@@ -568,43 +398,22 @@ mod tests {
     use crate::pipeline::backend::CpuBackend;
     use crate::pipeline::feed::GlibcFeed;
 
-    fn engine(mode: PipelineMode, seed: u64) -> Engine<CpuBackend> {
-        Engine::with_mode(
+    fn engine(seed: u64) -> Engine<CpuBackend> {
+        Engine::new(
             CpuBackend::new(HybridParams::default()),
             Box::new(GlibcFeed::from_master_seed(seed)),
-            mode,
         )
     }
 
     #[test]
-    fn auto_mode_resolves() {
-        let e = engine(PipelineMode::Auto, 1);
-        assert_ne!(e.mode(), PipelineMode::Auto);
-    }
-
-    #[test]
-    fn concurrent_matches_synchronous_bit_for_bit() {
-        let mut sync = engine(PipelineMode::Synchronous, 42);
-        let mut conc = engine(PipelineMode::Concurrent, 42);
-        sync.initialize(64).unwrap();
-        conc.initialize(64).unwrap();
-        for count in [64usize, 10, 33, 64, 1] {
-            let a = sync.try_next_batch(count).unwrap();
-            let b = conc.try_next_batch(count).unwrap();
-            assert_eq!(a, b, "count {count} diverged");
-        }
-        assert_eq!(sync.stats().feed_words, conc.stats().feed_words);
-    }
-
-    #[test]
     fn initialize_rejects_zero_threads() {
-        let mut e = engine(PipelineMode::Synchronous, 1);
+        let mut e = engine(1);
         assert_eq!(e.initialize(0).unwrap_err(), HprngError::EmptySession);
     }
 
     #[test]
     fn batch_validation_matches_session_semantics() {
-        let mut e = engine(PipelineMode::Concurrent, 1);
+        let mut e = engine(1);
         e.initialize(8).unwrap();
         assert_eq!(e.try_next_batch(0).unwrap_err(), HprngError::EmptyRequest);
         assert_eq!(
@@ -618,18 +427,10 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_concurrent_engine_joins_the_feeder() {
-        // No deadlock and no leaked thread even when the ring is full.
-        let mut e = engine(PipelineMode::Concurrent, 3);
-        e.initialize(4).unwrap();
-        drop(e); // must return promptly
-    }
-
-    #[test]
     fn engine_restore_replays_to_a_bit_identical_stream() {
         // Full-width request history (the pool shard shape): replay is
         // exact and verification passes.
-        let mut original = engine(PipelineMode::Synchronous, 77);
+        let mut original = engine(77);
         original.initialize(16).unwrap();
         for _ in 0..9 {
             original.try_next_batch(16).unwrap();
@@ -638,7 +439,7 @@ mod tests {
         assert_eq!(state.lanes, 16);
         assert_eq!(state.session_words, 9 * 16);
 
-        let mut resumed = engine(PipelineMode::Concurrent, 77);
+        let mut resumed = engine(77);
         resumed.restore_from(&state).unwrap();
         for round in 0..5 {
             assert_eq!(
@@ -651,12 +452,12 @@ mod tests {
 
     #[test]
     fn engine_restore_survives_the_json_round_trip() {
-        let mut original = engine(PipelineMode::Synchronous, 5);
+        let mut original = engine(5);
         original.initialize(8).unwrap();
         original.try_next_batch(8).unwrap();
         let json = original.checkpoint().unwrap().to_json();
         let state = crate::StreamState::from_json(&json).unwrap();
-        let mut resumed = engine(PipelineMode::Synchronous, 5);
+        let mut resumed = engine(5);
         resumed.restore_from(&state).unwrap();
         assert_eq!(
             resumed.try_next_batch(8).unwrap(),
@@ -669,12 +470,12 @@ mod tests {
         // Ragged request history: the full-width replay cannot reproduce
         // it, and the walk-label verification must catch that instead of
         // resuming a perturbed stream.
-        let mut ragged = engine(PipelineMode::Synchronous, 3);
+        let mut ragged = engine(3);
         ragged.initialize(8).unwrap();
         ragged.try_next_batch(3).unwrap();
         ragged.try_next_batch(8).unwrap();
         let state = ragged.checkpoint().unwrap();
-        let mut resumed = engine(PipelineMode::Synchronous, 3);
+        let mut resumed = engine(3);
         assert!(matches!(
             resumed.restore_from(&state),
             Err(HprngError::RestoreMismatch { field: "walks", .. })
@@ -683,18 +484,18 @@ mod tests {
 
     #[test]
     fn engine_restore_rejects_wrong_seed_and_used_engines() {
-        let mut original = engine(PipelineMode::Synchronous, 1);
+        let mut original = engine(1);
         original.initialize(4).unwrap();
         original.try_next_batch(4).unwrap();
         let state = original.checkpoint().unwrap();
 
-        let mut wrong_seed = engine(PipelineMode::Synchronous, 2);
+        let mut wrong_seed = engine(2);
         assert!(matches!(
             wrong_seed.restore_from(&state),
             Err(HprngError::RestoreMismatch { field: "seed", .. })
         ));
 
-        let mut used = engine(PipelineMode::Synchronous, 1);
+        let mut used = engine(1);
         used.initialize(4).unwrap();
         used.try_next_batch(4).unwrap();
         assert!(matches!(
@@ -704,24 +505,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn concurrent_telemetry_merges_producer_spans() {
-        let mut e = engine(PipelineMode::Concurrent, 7);
-        e.initialize(32).unwrap();
-        e.try_next_batch(32).unwrap();
-        let telemetry = e.take_telemetry();
-        let feed_blocks = telemetry
-            .spans()
-            .iter()
-            .filter(|s| s.name == "feed_block")
-            .count();
-        assert!(feed_blocks > 0, "producer FEED spans missing from merge");
-        assert!(telemetry
-            .spans()
-            .iter()
-            .any(|s| s.stage == Stage::Transfer && s.name == "ring_pull"));
-        assert_eq!(telemetry.counter("numbers"), 32.0);
     }
 }

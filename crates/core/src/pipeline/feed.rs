@@ -8,11 +8,7 @@
 //!
 //! A feed is a *stream*, not a batch API: `fill` must behave as if the
 //! words were drawn one at a time from a stateful sequence, so the stream
-//! consumed is independent of how calls chunk it. The concurrent engine
-//! relies on this — it pulls fixed-size blocks on the producer thread
-//! while the synchronous engine pulls exact batch sizes, and both must see
-//! the same words in the same order for the golden determinism suite to
-//! hold.
+//! consumed is independent of how calls chunk it.
 
 use crate::seeding;
 use hprng_baselines::{GlibcRand, SplitMix64};
@@ -20,8 +16,9 @@ use rand_core::RngCore;
 
 /// A deterministic producer of raw 64-bit words for the FEED stage.
 ///
-/// `Send + 'static` because the concurrent engine moves the feed onto its
-/// own producer thread.
+/// `Send + 'static` because an engine owns its feed and engines move
+/// between threads: the `hprng-pool` shard workers each own the engines
+/// of their clients' sessions.
 pub trait BitFeed: Send + 'static {
     /// Fills `buf` with the next `buf.len()` words of the stream.
     fn fill(&mut self, buf: &mut [u64]);
@@ -32,9 +29,9 @@ pub trait BitFeed: Send + 'static {
     }
 
     /// The 64-bit master seed this feed's stream is a pure function of,
-    /// when the feed knows it (`None` otherwise). Engines capture it at
-    /// construction so their [`crate::StreamState`] checkpoints carry
-    /// everything needed to rebuild the feed on restore.
+    /// when the feed knows it (`None` otherwise). Engines put it in their
+    /// [`crate::StreamState`] checkpoints, which then carry everything
+    /// needed to rebuild the feed on restore.
     fn master_seed(&self) -> Option<u64> {
         None
     }

@@ -8,12 +8,11 @@
 //!
 //! * [`BitFeed`] (with [`GlibcFeed`], [`SplitMixFeed`], [`RngFeed`]) — who
 //!   produces the raw words;
-//! * [`ring`] — the bounded ping-pong ring that models the double buffer
-//!   and carries blocks between the producer thread and the consumer;
 //! * [`Backend`] (with [`DeviceBackend`], [`CpuBackend`]) — where the
 //!   walks advance and how the work is accounted;
-//! * [`Engine`] — the orchestrator tying them together, in synchronous
-//!   (bit-exact reference) or concurrent (real producer thread) mode.
+//! * [`Engine`] — the orchestrator tying them together: it fills each
+//!   batch's bits from the feed on the calling thread and hands them to
+//!   the backend.
 //!
 //! `HybridPrng`/`HybridSession` remain the ergonomic front door; they are
 //! now a thin facade over `Engine<DeviceBackend>`.
@@ -21,9 +20,7 @@
 pub mod backend;
 pub mod engine;
 pub mod feed;
-pub mod ring;
 
 pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend, SharedDeviceBackend};
-pub use engine::{Engine, PipelineStats, RING_BLOCK_WORDS};
+pub use engine::{Engine, PipelineStats};
 pub use feed::{BitFeed, GlibcFeed, RngFeed, SplitMixFeed};
-pub use ring::{ping_pong, with_capacity, RingReceiver, RingSender, SendError, PING_PONG_SLOTS};

@@ -67,7 +67,7 @@ fn hybrid_configuration_surface() {
 
 #[test]
 fn cpu_parallel_is_a_drop_in_bulk_source() {
-    let gen = CpuParallelPrng::new(11, 2);
+    let gen = CpuParallelPrng::try_new(11, 2).unwrap();
     let nums = gen.generate(10_000);
     // Mean of uniform u64 ≈ 2^63.
     let mean = nums.iter().map(|&v| v as f64).sum::<f64>() / nums.len() as f64;

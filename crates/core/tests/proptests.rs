@@ -103,7 +103,7 @@ proptest! {
         {
             let inner = OnDemandBits::new(ScalarRng::new(SplitMix64::new(seed)));
             let mut tapped = TappedBits::new(Box::new(inner), &mut tap);
-            let mut out = vec![0u8; 96];
+            let mut out = [0u8; 96];
             for &count in &counts {
                 tapped.provide(&mut out[..count], count);
                 stream.extend_from_slice(&out[..count]);

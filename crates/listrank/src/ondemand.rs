@@ -165,7 +165,7 @@ mod tests {
     use crate::sequential::sequential_rank;
     use hprng_baselines::SplitMix64;
     use hprng_core::pipeline::{CpuBackend, Engine, GlibcFeed};
-    use hprng_core::{HybridParams, HybridPrng, PipelineMode};
+    use hprng_core::{HybridParams, HybridPrng};
     use hprng_gpu_sim::DeviceConfig;
 
     fn target_for(n: usize) -> usize {
@@ -188,27 +188,24 @@ mod tests {
     /// removal: ranks hash, iterations, live remnant and feed words for
     /// `LinkedList::random(5_000, SplitMix64::new(1))` on a `test_tiny`
     /// device with master seed 2. The session-routed path must reproduce
-    /// all of them exactly, in both pipeline modes.
+    /// all of them exactly.
     const LEGACY_RANKS_FNV: u64 = 0xb448479fa8aa82e5;
     const LEGACY_ITERATIONS: usize = 19;
     const LEGACY_LIVE: usize = 384;
     const LEGACY_FEED_WORDS: u64 = 172_960;
 
     #[test]
-    fn reproduces_the_legacy_device_path_in_both_modes() {
+    fn reproduces_the_legacy_device_path() {
         let list = LinkedList::random(5_000, &mut SplitMix64::new(1));
         let expected = sequential_rank(&list);
-        for mode in [PipelineMode::Synchronous, PipelineMode::Concurrent] {
-            let params = HybridParams::builder().mode(mode).build().unwrap();
-            let mut prng = HybridPrng::new(DeviceConfig::test_tiny(), params, 2);
-            let mut session = prng.try_session(5_000).unwrap();
-            let (ranks, red) = rank_on_session(&list, &mut session);
-            assert_eq!(ranks, expected, "{mode:?}");
-            assert_eq!(fnv(ranks.iter().map(|&r| r as u64)), LEGACY_RANKS_FNV);
-            assert_eq!(red.iterations, LEGACY_ITERATIONS, "{mode:?}");
-            assert_eq!(red.live_count, LEGACY_LIVE, "{mode:?}");
-            assert_eq!(session.stats().feed_words, LEGACY_FEED_WORDS, "{mode:?}");
-        }
+        let mut prng = HybridPrng::new(DeviceConfig::test_tiny(), HybridParams::default(), 2);
+        let mut session = prng.try_session(5_000).unwrap();
+        let (ranks, red) = rank_on_session(&list, &mut session);
+        assert_eq!(ranks, expected);
+        assert_eq!(fnv(ranks.iter().map(|&r| r as u64)), LEGACY_RANKS_FNV);
+        assert_eq!(red.iterations, LEGACY_ITERATIONS);
+        assert_eq!(red.live_count, LEGACY_LIVE);
+        assert_eq!(session.stats().feed_words, LEGACY_FEED_WORDS);
     }
 
     #[test]
@@ -216,7 +213,7 @@ mod tests {
         // Both backends advance the same walks over the same feed stream,
         // so the session-routed ranking is backend-invariant.
         let list = LinkedList::random(5_000, &mut SplitMix64::new(1));
-        let mut engine = Engine::synchronous(
+        let mut engine = Engine::new(
             CpuBackend::new(HybridParams::default()),
             Box::new(GlibcFeed::from_master_seed(2)),
         );
@@ -232,7 +229,9 @@ mod tests {
     fn cpu_parallel_session_ranks_correctly() {
         let list = LinkedList::random(3_000, &mut SplitMix64::new(3));
         let expected = sequential_rank(&list);
-        let mut session = hprng_core::CpuParallelPrng::new(11, 3_000).on_demand_session();
+        let mut session = hprng_core::CpuParallelPrng::try_new(11, 3_000)
+            .unwrap()
+            .on_demand_session();
         let (ranks, red) = rank_on_session(&list, &mut session);
         assert_eq!(ranks, expected);
         assert!(red.live_count <= target_for(3_000));

@@ -807,7 +807,7 @@ mod tests {
         // generator's worker streams, one per photon chunk.
         let tissue = Tissue::three_layer();
         let cfg = quick_config(RandomSupply::InlineHybrid);
-        let lanes = hprng_core::CpuParallelPrng::new(7, 4);
+        let lanes = hprng_core::CpuParallelPrng::try_new(7, 4).unwrap();
         let out = run_simulation_on(&tissue, 5_000, &cfg, &lanes);
         assert_eq!(out.photons, 5_000);
         assert_eq!(out.clashes, 0);

@@ -8,7 +8,6 @@ use hprng_core::{HprngError, OnDemandRng, StreamState};
 use hprng_telemetry::{Stage, WordTap};
 use hprng_transport::{
     bounded, BlockPool, Disconnect, RecvTimeoutError, RingReceiver, RingSender, ShutdownFlag,
-    TrySendError,
 };
 
 use crate::config::FullPolicy;
@@ -439,7 +438,7 @@ impl PoolClient {
                 self.blocks.give_back(old);
                 self.pending_refills += 1;
             }
-            self.flush_pending()?;
+            self.flush_pending();
             let received = match self.policy {
                 FullPolicy::Block => self.rx.recv().ok_or(RecvTimeoutError::Disconnected),
                 FullPolicy::TryFor(patience) => self.rx.recv_timeout(patience),
@@ -487,35 +486,28 @@ impl PoolClient {
     /// Pushes owed refill requests into the shard's request ring.
     /// [`FullPolicy::Block`] waits for space; [`FullPolicy::TryFor`]
     /// leaves what does not fit for the next call.
-    fn flush_pending(&mut self) -> Result<(), HprngError> {
+    fn flush_pending(&mut self) {
         while self.pending_refills > 0 {
             let request = Request::Refill {
                 client: self.id,
                 enqueued_ns: self.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
             };
-            match self.policy {
-                FullPolicy::TryFor(_) => match self.tx.try_send(request) {
-                    Ok(()) => self.pending_refills -= 1,
-                    Err(TrySendError::Full(_)) => return Ok(()),
-                    // As under `Block`: the receive path drains buffered
-                    // replies, classifies the disconnect, and fails over
-                    // (re-priming the prefetch) or fails the client.
-                    Err(TrySendError::Disconnected(_)) => return Ok(()),
-                },
-                FullPolicy::Block => match self.tx.send(request) {
-                    Ok(()) => self.pending_refills -= 1,
-                    // The shard vanished with this refill owed. Failing
-                    // here would skip failover entirely (and drop any
-                    // still-buffered replies); let the receive path
-                    // drain what is left, classify the disconnect, and
-                    // reattach when failover is enabled — reattachment
-                    // re-primes the prefetch, so the owed refill is
-                    // never missed.
-                    Err(_) => return Ok(()),
-                },
+            let sent = match self.policy {
+                FullPolicy::TryFor(_) => self.tx.try_send(request).is_ok(),
+                FullPolicy::Block => self.tx.send(request).is_ok(),
+            };
+            if !sent {
+                // A full ring (`TryFor` only) keeps the rest for the next
+                // call. A vanished shard is not failed here: that would
+                // skip failover entirely (and drop any still-buffered
+                // replies). The receive path drains what is left,
+                // classifies the disconnect, and reattaches when failover
+                // is enabled — reattachment re-primes the prefetch, so
+                // the owed refill is never missed.
+                return;
             }
+            self.pending_refills -= 1;
         }
-        Ok(())
     }
 
     fn fail(&mut self, e: HprngError) -> HprngError {

@@ -4,7 +4,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hprng_core::pipeline::RING_BLOCK_WORDS;
 use hprng_core::{
     CpuBackend, Engine, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, OnDemandRng,
     SharedDeviceBackend,
@@ -12,6 +11,11 @@ use hprng_core::{
 use hprng_gpu_sim::DeviceConfig;
 
 use crate::pool::Pool;
+
+/// Default per-client prefetch block, in words: 8 KiB, big enough to
+/// amortize a shard round-trip, small enough that the two blocks a client
+/// holds stay cache-friendly.
+pub(crate) const DEFAULT_PREFETCH_WORDS: usize = 1024;
 
 /// What a [`crate::PoolClient`] does when its shard cannot hand back a
 /// refilled prefetch block immediately (the shard's request queue is
@@ -56,13 +60,11 @@ pub enum SessionKind {
     ExpanderWalk,
     /// One [`Engine`] on a [`CpuBackend`] per client (the §IV-A multicore
     /// variant): `lanes` walks fed by glibc `rand()` under the client's
-    /// lane seed. `params.mode` resolves per the usual
-    /// [`hprng_core::PipelineMode::resolve_for`] rule inside the shard
-    /// worker.
+    /// lane seed.
     CpuEngine {
         /// Device-resident walks per client session.
         lanes: usize,
-        /// Pipeline parameters (batch size, warm-up, mode).
+        /// Pipeline parameters (batch size, warm-up).
         params: HybridParams,
     },
     /// One [`Engine`] on a [`SharedDeviceBackend`] per client: the full
@@ -126,10 +128,9 @@ impl SessionKind {
         match self {
             SessionKind::ExpanderWalk => Ok(Box::new(ExpanderWalkRng::from_seed_u64(seed))),
             SessionKind::CpuEngine { lanes, params } => {
-                let mut engine = Engine::with_mode(
+                let mut engine = Engine::new(
                     CpuBackend::new(*params),
                     Box::new(GlibcFeed::from_master_seed(seed)),
-                    params.mode,
                 );
                 engine.initialize(*lanes)?;
                 Ok(Box::new(engine))
@@ -139,10 +140,9 @@ impl SessionKind {
                 params,
                 lanes,
             } => {
-                let mut engine = Engine::with_mode(
+                let mut engine = Engine::new(
                     SharedDeviceBackend::new(config.clone(), *params),
                     Box::new(GlibcFeed::from_master_seed(seed)),
-                    params.mode,
                 );
                 engine.initialize(*lanes)?;
                 Ok(Box::new(engine))
@@ -168,14 +168,14 @@ pub struct PoolBuilder {
 impl PoolBuilder {
     /// A builder with the workspace defaults: one shard per available CPU,
     /// [`SessionKind::ExpanderWalk`] sessions, [`FullPolicy::Block`], a
-    /// ring-block-sized prefetch and a 32-deep request queue.
+    /// 1024-word prefetch and a 32-deep request queue.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             shards: None,
             kind: SessionKind::ExpanderWalk,
             policy: FullPolicy::Block,
-            prefetch_words: RING_BLOCK_WORDS,
+            prefetch_words: DEFAULT_PREFETCH_WORDS,
             queue_depth: 32,
             trace_sample_every: None,
             failover: false,

@@ -83,10 +83,9 @@ fn cpu_engine_clients_match_a_dedicated_engine() {
         let mut got = vec![0u64; 100];
         client.fill_words(&mut got).unwrap();
 
-        let mut engine = Engine::with_mode(
+        let mut engine = Engine::new(
             CpuBackend::new(params),
             Box::new(GlibcFeed::from_master_seed(lane_seed(SEED, id))),
-            params.mode,
         );
         engine.initialize(LANES).unwrap();
         let mut want = Vec::new();
@@ -630,6 +629,10 @@ fn auto_assigned_ids_skip_explicitly_claimed_lanes() {
 fn session_errors_kill_the_client_but_not_the_shard() {
     // Lane 0's session fails every refill with a recoverable error (not a
     // panic); the client dies sticky, the shard keeps serving peers.
+    const BROKEN: HprngError = HprngError::InvalidParam {
+        field: "broken",
+        reason: "this session fails every refill",
+    };
     let pool = Pool::builder(1)
         .shards(1)
         .session(SessionKind::Custom {
@@ -644,7 +647,7 @@ fn session_errors_kill_the_client_but_not_the_shard() {
                         1
                     }
                     fn try_next_batch_into(&mut self, _: &mut [u64]) -> Result<(), HprngError> {
-                        Err(HprngError::FeedDisconnected)
+                        Err(BROKEN)
                     }
                     fn words_served(&self) -> u64 {
                         0
@@ -660,9 +663,9 @@ fn session_errors_kill_the_client_but_not_the_shard() {
         .build()
         .unwrap();
     let mut client = pool.try_client_with_id(0).unwrap();
-    assert_eq!(client.try_next_u64(), Err(HprngError::FeedDisconnected));
+    assert_eq!(client.try_next_u64(), Err(BROKEN));
     // The failure is sticky: the client is dead, the shard is not.
-    assert_eq!(client.try_next_u64(), Err(HprngError::FeedDisconnected));
+    assert_eq!(client.try_next_u64(), Err(BROKEN));
     let mut peer = pool.try_client_with_id(7).unwrap();
     assert_eq!(peer.try_next_u64().unwrap(), golden_expander(1, 7, 1)[0]);
     assert!(pool.stats().errors >= 1);

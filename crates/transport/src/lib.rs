@@ -3,15 +3,14 @@
 //!
 //! The paper's on-demand contract lives or dies on how cheaply blocks of
 //! pre-generated words travel from the thread that made them to the
-//! thread that serves them. Before this crate existed that path was
-//! implemented three different ways — the pipeline's Mutex+Condvar
-//! ping-pong ring, the pool's `sync_channel` request queues, and the
-//! per-client double-buffer recycling — each with its own backpressure,
-//! shutdown, and poisoning logic. This crate is the one disciplined
-//! implementation all of them now share:
+//! thread that serves them. This crate is the one implementation of that
+//! path, with one backpressure, shutdown, and poisoning protocol. The
+//! sharded pool uses it two ways: for its shard request queues and
+//! reply rings, and for recycling each client's double-buffered prefetch
+//! blocks.
 //!
 //! * [`ring`] — [`BlockRing`]: a bounded blocking MPSC ring generalizing
-//!   the paper's two-slot PCIe double buffer ([`PING_PONG_SLOTS`]).
+//!   the paper's two-slot PCIe double buffer.
 //!   Backpressure by blocking (or [`RingSender::try_send`] /
 //!   [`RingReceiver::recv_timeout`] for the impatient), clean shutdown on
 //!   drop from either side, optional transport-level queue-depth
@@ -32,10 +31,9 @@
 //!   consult a process-wide hook that can stall, panic, or deny at a
 //!   named `FaultPoint`. Compiled out entirely without the feature.
 //!
-//! The pipeline engine's ring (`hprng-core::pipeline::ring`) and the
-//! sharded pool (`hprng-pool`) are both thin layers over these types;
-//! their golden bit-identity suites prove the transport is invisible in
-//! the served streams.
+//! The sharded pool (`hprng-pool`) is a thin layer over these types; its
+//! golden bit-identity suites prove the transport is invisible in the
+//! served streams.
 
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
@@ -49,7 +47,7 @@ pub mod shutdown;
 
 pub use arena::{ArenaStats, BlockPool};
 pub use ring::{
-    bounded, bounded_instrumented, ping_pong, BlockRing, RecvTimeoutError, RingInstruments,
-    RingReceiver, RingSender, SendError, TrySendError, PING_PONG_SLOTS,
+    bounded, bounded_instrumented, BlockRing, RecvTimeoutError, RingInstruments, RingReceiver,
+    RingSender, SendError, TrySendError,
 };
 pub use shutdown::{Disconnect, PoisonFlag, PoisonGuard, ShutdownFlag};

@@ -2,9 +2,9 @@
 //!
 //! The paper overlaps FEED and GENERATE by double-buffering bit batches
 //! over PCIe (§IV-A, Figure 4): while the device walks iteration `k`, the
-//! host fills the other buffer with the bits for `k+1`. The two-slot
-//! instance of this ring ([`ping_pong`]) is exactly that pair; deeper
-//! rings generalize it to producers allowed to run `capacity` blocks
+//! host fills the other buffer with the bits for `k+1`. A two-slot ring
+//! (`bounded(2)`, each pool client's reply ring) is exactly that pair;
+//! deeper rings generalize it to producers allowed to run `capacity` blocks
 //! ahead, and cloning the sender generalizes SPSC to MPSC (the pool's
 //! many-clients-one-shard request queues). The protocol:
 //!
@@ -31,9 +31,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use hprng_telemetry::Gauge;
-
-/// The two-slot capacity of the paper's ping-pong pair.
-pub const PING_PONG_SLOTS: usize = 2;
 
 /// The value a [`RingSender::send`] could not deliver because the
 /// consumer was dropped.
@@ -145,11 +142,6 @@ pub struct RingSender<T> {
 /// Consumer half of a ring. Single-owner: the serving thread.
 pub struct RingReceiver<T> {
     ring: Arc<BlockRing<T>>,
-}
-
-/// Creates the paper-shaped two-slot ping-pong ring.
-pub fn ping_pong<T>() -> (RingSender<T>, RingReceiver<T>) {
-    bounded(PING_PONG_SLOTS)
 }
 
 /// Creates a ring with an explicit slot count (tests use 1 to force
@@ -340,7 +332,7 @@ mod tests {
 
     #[test]
     fn delivers_in_order() {
-        let (tx, rx) = ping_pong();
+        let (tx, rx) = bounded(2);
         let producer = thread::spawn(move || {
             for i in 0..100u64 {
                 tx.send(i).unwrap();
@@ -355,7 +347,7 @@ mod tests {
 
     #[test]
     fn producer_blocks_on_full_ring() {
-        let (tx, rx) = ping_pong::<u64>();
+        let (tx, rx) = bounded::<u64>(2);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         assert!(tx.is_full());
@@ -417,7 +409,7 @@ mod tests {
 
     #[test]
     fn dropping_every_sender_clone_drains_then_ends_stream() {
-        let (tx, rx) = ping_pong::<u64>();
+        let (tx, rx) = bounded::<u64>(2);
         let tx2 = tx.clone();
         tx.send(1).unwrap();
         drop(tx);
@@ -460,7 +452,7 @@ mod tests {
 
     #[test]
     fn producer_panic_ends_stream_cleanly() {
-        let (tx, rx) = ping_pong::<u64>();
+        let (tx, rx) = bounded::<u64>(2);
         let producer = thread::spawn(move || {
             tx.send(1).unwrap();
             panic!("feeder died");
@@ -476,7 +468,7 @@ mod tests {
         // the consumer — otherwise a consumer of the second ring would
         // wait forever on a producer buried in a dead queue.
         let (tx, rx) = bounded::<RingSender<u64>>(2);
-        let (inner_tx, inner_rx) = ping_pong::<u64>();
+        let (inner_tx, inner_rx) = bounded::<u64>(2);
         assert!(tx.send(inner_tx).is_ok());
         drop(rx); // never dequeued — the queued sender must drop here
         assert_eq!(

@@ -10,7 +10,7 @@
 //! minutes. CI runs this suite with `RUST_TEST_THREADS=1` so a hang is
 //! attributable to one scenario.
 
-use hprng_transport::{bounded, ping_pong, BlockPool};
+use hprng_transport::{bounded, BlockPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -20,7 +20,7 @@ fn rapid_create_send_drop_cycles() {
     // Teardown while the producer is in every possible state: filling,
     // blocked on a full ring, or already exited.
     for cycle in 0..200 {
-        let (tx, rx) = ping_pong::<Vec<u64>>();
+        let (tx, rx) = bounded::<Vec<u64>>(2);
         let producer = thread::spawn(move || {
             let mut sent = 0usize;
             while tx.send(vec![sent as u64; 64]).is_ok() {
@@ -70,7 +70,7 @@ fn many_rings_shut_down_in_parallel() {
     let handles: Vec<_> = (0..16)
         .map(|k| {
             thread::spawn(move || {
-                let (tx, rx) = ping_pong::<u64>();
+                let (tx, rx) = bounded::<u64>(2);
                 let producer = thread::spawn(move || {
                     let mut i = 0u64;
                     while tx.send(i).is_ok() {
@@ -93,7 +93,7 @@ fn many_rings_shut_down_in_parallel() {
 #[test]
 fn panicking_producer_surfaces_as_end_of_stream_not_hang() {
     for _ in 0..50 {
-        let (tx, rx) = ping_pong::<u64>();
+        let (tx, rx) = bounded::<u64>(2);
         let producer = thread::spawn(move || {
             tx.send(1).unwrap();
             panic!("simulated feeder crash");
@@ -113,7 +113,7 @@ fn producer_panic_mid_block_with_arena_checkout_in_hand() {
     // and nothing may hang or double-hand-out the lost block.
     for round in 0..50 {
         let arena = Arc::new(BlockPool::new(64, 4));
-        let (tx, rx) = ping_pong::<Vec<u64>>();
+        let (tx, rx) = bounded::<Vec<u64>>(2);
         let worker_arena = Arc::clone(&arena);
         let producer = thread::spawn(move || {
             // One clean refill round-trip first.

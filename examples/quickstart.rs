@@ -24,7 +24,7 @@ fn main() {
     );
 
     // 2. The multicore CPU variant (Figure 6's subject).
-    let cpu = CpuParallelPrng::new(42, 0);
+    let cpu = CpuParallelPrng::per_cpu(42);
     let batch = cpu.generate(1_000_000);
     println!(
         "CPU-parallel: generated {} numbers on {} worker walks; first = {:#018x}\n",

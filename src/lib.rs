@@ -142,8 +142,8 @@ pub use hprng_transport as transport;
 pub use hprng_core::{
     Backend, BitFeed, Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine,
     ExpanderLanes, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder,
-    HybridPrng, HybridSession, OnDemandRng, PipelineMode, PipelineStats, Restore, ScalarRng,
-    SharedDeviceBackend, SplitOnDemand, StreamState, WalkParams, WalkParamsBuilder,
+    HybridPrng, HybridSession, OnDemandRng, PipelineStats, Restore, ScalarRng, SharedDeviceBackend,
+    SplitOnDemand, StreamState, WalkParams, WalkParamsBuilder,
 };
 pub use hprng_gpu_sim::{ConfigError, DeviceConfig, DeviceConfigBuilder};
 pub use hprng_monitor::{
@@ -224,8 +224,8 @@ pub mod prelude {
     pub use hprng_core::{
         Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes,
         ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridPrng, HybridSession,
-        OnDemandRng, PipelineMode, Restore, ScalarRng, SharedDeviceBackend, SplitOnDemand,
-        StreamState, WalkParams,
+        OnDemandRng, Restore, ScalarRng, SharedDeviceBackend, SplitOnDemand, StreamState,
+        WalkParams,
     };
     pub use hprng_gpu_sim::DeviceConfig;
     pub use hprng_monitor::{AlertSink, MonitorConfig, MonitorHandle};

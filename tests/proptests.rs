@@ -69,7 +69,7 @@ proptest! {
         batch in 1u32..300,
         seed in any::<u64>(),
     ) {
-        let params = HybridParams::with_batch_size(batch);
+        let params = HybridParams::builder().batch_size(batch).build().unwrap();
         let mut a = HybridPrng::new(DeviceConfig::test_tiny(), params, seed);
         let mut b = HybridPrng::new(DeviceConfig::test_tiny(), params, seed);
         let (xa, sa) = a.try_generate(n).unwrap();

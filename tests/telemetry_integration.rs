@@ -8,7 +8,7 @@
 use hybrid_prng::gpu::Resource;
 use hybrid_prng::telemetry::{busy_fractions, chrome_trace, json, write_chrome_trace};
 use hybrid_prng::{
-    DeviceConfig, HprngError, HybridParams, HybridPrng, PipelineMode, Recorder, Stage, WalkParams,
+    DeviceConfig, HprngError, HybridParams, HybridPrng, Recorder, Stage, WalkParams,
 };
 use proptest::prelude::*;
 
@@ -149,13 +149,7 @@ proptest! {
         threads in 1usize..200,
         batches in 1usize..6,
     ) {
-        // The span count below assumes the inline FEED path, so pin
-        // synchronous mode; the counters are mode-invariant.
-        let params = HybridParams::builder()
-            .mode(PipelineMode::Synchronous)
-            .build()
-            .unwrap();
-        let mut prng = HybridPrng::new(DeviceConfig::test_tiny(), params, seed);
+        let mut prng = tiny_prng(seed);
         let mut session = prng.try_session(threads).unwrap();
         for i in 0..batches {
             // Vary the per-call count deterministically.
