@@ -263,7 +263,7 @@ pub struct Fig7Row {
     pub n: usize,
     /// Simulated Phase-I device ns per strategy.
     pub mt_ns: f64,
-    /// Batch glibc (the hybrid baseline of [3]).
+    /// Batch glibc (the hybrid baseline of \[3\]).
     pub glibc_ns: f64,
     /// On-demand expander (this paper).
     pub ondemand_ns: f64,

@@ -103,19 +103,6 @@ impl CpuParallelPrng {
         let glibc_seed = seeding::worker_seed(self.seed, t);
         ExpanderWalkRng::with_params(RngBitSource::new(GlibcRand::new(glibc_seed)), self.params)
     }
-
-    /// Opens a multi-lane on-demand session: lane `t` is worker `t`'s
-    /// stream, so [`OnDemandRng::try_next_batch_into`] draws one number per
-    /// worker per call — the same discipline a device session uses, on
-    /// host walks.
-    pub fn on_demand_session(&self) -> CpuParallelSession {
-        CpuParallelSession {
-            lanes: (0..self.threads as u64)
-                .map(|t| self.worker_rng(t))
-                .collect(),
-            served: 0,
-        }
-    }
 }
 
 impl crate::ondemand::SplitOnDemand for CpuParallelPrng {
@@ -127,58 +114,6 @@ impl crate::ondemand::SplitOnDemand for CpuParallelPrng {
 
     fn lane(&self, index: u64) -> Self::Lane {
         self.worker_rng(index)
-    }
-}
-
-/// A materialized [`CpuParallelPrng`] session: one live walk per worker,
-/// serving the [`OnDemandRng`] contract with `threads` lanes.
-pub struct CpuParallelSession {
-    lanes: Vec<ExpanderWalkRng<RngBitSource<GlibcRand>>>,
-    served: u64,
-}
-
-use crate::ondemand::OnDemandRng;
-
-impl OnDemandRng for CpuParallelSession {
-    fn label(&self) -> &'static str {
-        "cpu-parallel"
-    }
-
-    fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
-        if out.is_empty() {
-            return Err(HprngError::EmptyRequest);
-        }
-        if out.len() > self.lanes.len() {
-            return Err(HprngError::BatchTooLarge {
-                requested: out.len(),
-                available: self.lanes.len(),
-            });
-        }
-        for (slot, lane) in out.iter_mut().zip(&mut self.lanes) {
-            *slot = lane.get_next_rand();
-        }
-        self.served += out.len() as u64;
-        Ok(())
-    }
-
-    fn words_served(&self) -> u64 {
-        self.served
-    }
-
-    fn raw_words_consumed(&self) -> Option<u64> {
-        Some(
-            self.lanes
-                .iter()
-                .map(|l| {
-                    l.chunks_consumed()
-                        .div_ceil(hprng_expander::bits::CHUNKS_PER_WORD as u64)
-                })
-                .sum(),
-        )
     }
 }
 

@@ -8,18 +8,22 @@
 //! [`PipelineStats`] and the device timeline reproduce Figure 4 (overlap and
 //! idle fractions) and Figure 5 (batch-size sweep).
 //!
-//! This module is the ergonomic facade: [`HybridPrng`] and
-//! [`HybridSession`] wrap an [`Engine`] on the
-//! [`DeviceBackend`](crate::pipeline::DeviceBackend). The stage components
-//! themselves live in [`crate::pipeline`].
+//! This module is the ergonomic front door: [`HybridPrng`] owns the device
+//! and opens [`HybridSession`]s, each an [`Engine`] on the
+//! [`DeviceBackend`]. The stage components themselves live in
+//! [`crate::pipeline`].
 
 use crate::error::HprngError;
 use crate::params::HybridParams;
 use crate::pipeline::{DeviceBackend, Engine, GlibcFeed};
 use hprng_gpu_sim::{Device, DeviceConfig, Timeline};
-use hprng_telemetry::{Recorder, WordTap};
 
 pub use crate::pipeline::PipelineStats;
+
+/// An initialized on-demand generation session (the expander graph `G` of
+/// Algorithms 2 and 3, with one walk per device thread): the pipeline
+/// [`Engine`] on the simulated-device backend.
+pub type HybridSession<'a> = Engine<DeviceBackend<'a>>;
 
 /// The hybrid generator. Owns a simulated device; create one per
 /// experiment.
@@ -57,23 +61,20 @@ impl HybridPrng {
 
     /// Opens an on-demand session with `threads` device-resident walks
     /// (Algorithm 1 runs here). The session then serves any number of
-    /// [`HybridSession::try_next_batch`] calls — the quantity of randomness
-    /// never has to be declared up front.
+    /// [`Engine::try_next_batch`] calls — the quantity of randomness never
+    /// has to be declared up front.
     ///
     /// Returns [`HprngError::EmptySession`] when `threads` is zero.
     pub fn try_session(&mut self, threads: usize) -> Result<HybridSession<'_>, HprngError> {
-        self.device.reset_timeline();
-        let backend = DeviceBackend::new(&self.device, self.params);
-        let feed = Box::new(GlibcFeed::from_master_seed(self.seed));
-        let mut engine = Engine::new(backend, feed);
-        engine.initialize(threads)?;
-        Ok(HybridSession { engine })
+        let mut session = self.open();
+        session.initialize(threads)?;
+        Ok(session)
     }
 
     /// Reopens a session from a [`crate::StreamState`] checkpoint captured
-    /// by [`HybridSession::checkpoint`]: Algorithm 1 re-runs, then the
-    /// request history is replayed and verified so the resumed session's
-    /// streams continue bit-identically from the checkpointed position.
+    /// by [`Engine::checkpoint`]: Algorithm 1 re-runs, then the request
+    /// history is replayed and verified so the resumed session's streams
+    /// continue bit-identically from the checkpointed position.
     ///
     /// The prng's seed must match the one the state was captured under;
     /// mismatches fail with [`HprngError::RestoreMismatch`].
@@ -81,12 +82,16 @@ impl HybridPrng {
         &mut self,
         state: &crate::StreamState,
     ) -> Result<HybridSession<'_>, HprngError> {
+        let mut session = self.open();
+        session.restore_from(state)?;
+        Ok(session)
+    }
+
+    /// A fresh, uninitialized session on a reset device timeline.
+    fn open(&mut self) -> HybridSession<'_> {
         self.device.reset_timeline();
         let backend = DeviceBackend::new(&self.device, self.params);
-        let feed = Box::new(GlibcFeed::from_master_seed(self.seed));
-        let mut engine = Engine::new(backend, feed);
-        engine.restore_from(state)?;
-        Ok(HybridSession { engine })
+        Engine::new(backend, Box::new(GlibcFeed::from_master_seed(self.seed)))
     }
 
     /// Bulk generation (Figure 3's workload): produces exactly `n` numbers
@@ -110,130 +115,17 @@ impl HybridPrng {
     }
 }
 
-/// An initialized on-demand generation session (the expander graph `G` of
-/// Algorithms 2 and 3, with one walk per device thread): a thin facade
-/// over [`Engine`] on the simulated-device backend.
-pub struct HybridSession<'a> {
-    engine: Engine<DeviceBackend<'a>>,
-}
-
-impl HybridSession<'_> {
-    /// Number of device-resident walks.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
+impl<'a> Engine<DeviceBackend<'a>> {
     /// The device the session runs on — applications launch their own
     /// kernels here so that their work shares the session's timeline
     /// (Algorithm 3 interleaves ranking kernels with GetNextRand batches).
-    pub fn device(&self) -> &Device {
-        self.engine.backend().device()
-    }
-
-    /// Attaches a streaming word tap (e.g. a quality monitor's sampling
-    /// handle): every subsequent [`HybridSession::try_next_batch`] output
-    /// is offered to it before being returned. Tap time is recorded as an
-    /// `App`-stage `monitor_tap` span — outside the GENERATE spans — plus
-    /// a `tap_words` counter, so its overhead is measurable and does not
-    /// contaminate pipeline-stage timings.
-    pub fn set_tap(&mut self, tap: Box<dyn WordTap>) {
-        self.engine.set_tap(tap);
-    }
-
-    /// Detaches and returns the tap, if one was set.
-    pub fn take_tap(&mut self) -> Option<Box<dyn WordTap>> {
-        self.engine.take_tap()
-    }
-
-    /// Algorithm 2, vectorized: the first `count` walks each produce one
-    /// number. `count` may vary per call — this is the on-demand interface.
-    ///
-    /// Returns [`HprngError::EmptyRequest`] when `count` is zero and
-    /// [`HprngError::BatchTooLarge`] when it exceeds the session's thread
-    /// count.
-    pub fn try_next_batch(&mut self, count: usize) -> Result<Vec<u64>, HprngError> {
-        self.engine.try_next_batch(count)
-    }
-
-    /// [`HybridSession::try_next_batch`] into a caller-provided buffer.
-    pub fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
-        self.engine.try_next_batch_into(out)
-    }
-
-    /// The session's statistics so far.
-    pub fn stats(&self) -> PipelineStats {
-        self.engine.stats()
-    }
-
-    /// Captures the session's resumable identity — walk labels, feed seed,
-    /// served counters — for [`HybridPrng::try_resume_session`] or JSON
-    /// persistence via [`crate::StreamState::to_json`].
-    pub fn checkpoint(&self) -> Result<crate::StreamState, HprngError> {
-        self.engine.checkpoint()
+    pub fn device(&self) -> &'a Device {
+        self.backend().device()
     }
 
     /// The device timeline (Figure 4's raw material).
     pub fn timeline(&self) -> Timeline {
-        self.engine.timeline().unwrap_or_default()
-    }
-
-    /// The session's telemetry so far: FEED/GENERATE/TRANSFER host spans,
-    /// the `iterations`/`feed_words`/`numbers` counters, and the per-call
-    /// `batch_latency_ns` histogram.
-    pub fn telemetry(&self) -> &Recorder {
-        self.engine.telemetry()
-    }
-
-    /// Takes the telemetry recorder out of the session, first syncing the
-    /// stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
-    /// `gnumbers_per_s`) from the current [`PipelineStats`]. Pair the
-    /// result with [`HybridSession::timeline`] and
-    /// `hprng_telemetry::chrome_trace` for a merged host + device trace.
-    pub fn take_telemetry(&mut self) -> Recorder {
-        self.engine.take_telemetry()
-    }
-}
-
-impl crate::ondemand::OnDemandRng for HybridSession<'_> {
-    fn label(&self) -> &'static str {
-        "hybrid-device"
-    }
-
-    fn lanes(&self) -> usize {
-        self.engine.threads()
-    }
-
-    fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
-        self.engine.try_next_batch_into(out)
-    }
-
-    fn try_next_batch(&mut self, count: usize) -> Result<Vec<u64>, HprngError> {
-        self.engine.try_next_batch(count)
-    }
-
-    fn words_served(&self) -> u64 {
-        self.engine.stats().numbers as u64
-    }
-
-    fn raw_words_consumed(&self) -> Option<u64> {
-        Some(self.engine.stats().feed_words)
-    }
-
-    fn set_tap(&mut self, tap: Box<dyn WordTap>) -> Result<(), Box<dyn WordTap>> {
-        self.engine.set_tap(tap);
-        Ok(())
-    }
-
-    fn take_tap(&mut self) -> Option<Box<dyn WordTap>> {
-        self.engine.take_tap()
-    }
-
-    fn try_checkpoint(&mut self) -> Result<crate::StreamState, HprngError> {
-        self.engine.checkpoint()
-    }
-
-    fn try_restore(&mut self, state: &crate::StreamState) -> Result<(), HprngError> {
-        self.engine.restore_from(state)
+        self.device().timeline()
     }
 }
 

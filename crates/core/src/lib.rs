@@ -13,9 +13,11 @@
 //! * [`HybridPrng`] — the full pipeline of Algorithms 1 and 2 on the
 //!   simulated device: CPU FEED workers produce raw bits with glibc
 //!   `rand()`, asynchronous PCIe TRANSFERs ship them over, and the GENERATE
-//!   kernel advances one walk per GPU thread. [`HybridSession`] exposes the
-//!   *on-demand* interface applications use when their randomness demand is
-//!   not known in advance (Algorithm 3's list ranking).
+//!   kernel advances one walk per GPU thread. The [`HybridSession`] it
+//!   opens is the pipeline [`Engine`] on the device backend, the one
+//!   multi-lane walk session in this crate: it exposes the *on-demand*
+//!   interface applications use when their randomness demand is not known
+//!   in advance (Algorithm 3's list ranking).
 //!
 //! ```
 //! use hprng_core::ExpanderWalkRng;
@@ -45,7 +47,7 @@ pub mod seeding;
 pub mod state;
 
 pub use bitsource::{CountingBitSource, RngBitSource};
-pub use cpu_parallel::{CpuParallelPrng, CpuParallelSession};
+pub use cpu_parallel::CpuParallelPrng;
 pub use device_baselines::{simulate_curand_device, simulate_mt_batch, DeviceSimResult};
 pub use error::HprngError;
 pub use hybrid::{HybridPrng, HybridSession, PipelineStats};
@@ -53,8 +55,6 @@ pub use ondemand::{ExpanderLanes, OnDemandRng, ScalarRng, SplitOnDemand};
 pub use params::{
     CostModel, HybridParams, HybridParamsBuilder, PipelineMode, WalkParams, WalkParamsBuilder,
 };
-pub use pipeline::{
-    Backend, BitFeed, CpuBackend, DeviceBackend, Engine, GlibcFeed, SharedDeviceBackend,
-};
+pub use pipeline::{Backend, BitFeed, CpuBackend, DeviceBackend, Engine, GlibcFeed};
 pub use rng::ExpanderWalkRng;
-pub use state::{Checkpoint, Restore, StreamState};
+pub use state::StreamState;

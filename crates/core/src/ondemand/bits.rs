@@ -62,7 +62,7 @@ impl<R: OnDemandRng> BitProvider for OnDemandBits<R> {
 }
 
 /// Batch provisioning: always produce bits for the worst-case count (the
-/// strategy of the hybrid baseline [3], which pre-computes "an upper bound
+/// strategy of the hybrid baseline \[3\], which pre-computes "an upper bound
 /// on the number of nodes remaining in the list at each iteration").
 pub struct BatchBits<R: OnDemandRng> {
     rng: R,

@@ -12,12 +12,12 @@
 //! |------|----------|-------|
 //! | baselines | [`ScalarRng`] around any [`rand_core::RngCore`] | 1 |
 //! | host walk | [`crate::ExpanderWalkRng`] | 1 |
-//! | host parallel | [`crate::CpuParallelPrng`] sessions | `threads` |
-//! | pipeline | [`crate::pipeline::Engine`] / [`crate::HybridSession`] | `threads` |
+//! | pipeline | [`crate::pipeline::Engine`] on either backend ([`crate::HybridSession`] on the device) | `threads` |
 //!
 //! Parallel consumers that seed one independent lane per work item (the
 //! photon-migration pattern) use [`SplitOnDemand`] instead, which hands
-//! out `Send` lanes keyed by an index.
+//! out `Send` lanes keyed by an index: [`ExpanderLanes`] and
+//! [`crate::CpuParallelPrng`] (lane `t` is worker `t`'s walk).
 
 use crate::error::HprngError;
 use hprng_telemetry::WordTap;

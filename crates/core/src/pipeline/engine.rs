@@ -11,7 +11,7 @@ use crate::error::HprngError;
 use crate::params::PipelineMode;
 use crate::pipeline::backend::{init_words_per_thread, Backend};
 use crate::pipeline::feed::BitFeed;
-use hprng_gpu_sim::{Resource, Timeline};
+use hprng_gpu_sim::Resource;
 use hprng_telemetry::{Recorder, Stage, WordTap};
 use std::time::Instant;
 
@@ -40,9 +40,10 @@ pub struct PipelineStats {
 /// The stage-decoupled pipeline: one [`BitFeed`], one [`Backend`], and the
 /// on-demand batch interface between them.
 ///
-/// `HybridPrng` sessions are a thin facade over an `Engine` on the
-/// simulated-device backend; the CPU-threads backend runs the identical
-/// engine, which is what makes cross-backend golden tests meaningful.
+/// This is the workspace's one multi-lane walk session. On the
+/// simulated-device backend it is [`crate::HybridSession`], the session
+/// `HybridPrng` opens; the CPU-threads backend runs the identical engine,
+/// which is what makes cross-backend golden tests meaningful.
 pub struct Engine<B: Backend> {
     backend: B,
     feed: Box<dyn BitFeed>,
@@ -89,7 +90,9 @@ impl<B: Backend> Engine<B> {
     /// Attaches a streaming word tap (e.g. a quality monitor's sampling
     /// handle): every subsequent [`Engine::try_next_batch`] output is
     /// offered to it before being returned, timed as an `App`-stage
-    /// `monitor_tap` span plus a `tap_words` counter.
+    /// `monitor_tap` span plus a `tap_words` counter. The span sits outside
+    /// the GENERATE spans, so tap overhead is measurable and does not
+    /// contaminate pipeline-stage timings.
     pub fn set_tap(&mut self, tap: Box<dyn WordTap>) {
         self.tap = Some(tap);
     }
@@ -198,19 +201,18 @@ impl<B: Backend> Engine<B> {
         }
     }
 
-    /// The simulated timeline, for backends that model one.
-    pub fn timeline(&self) -> Option<Timeline> {
-        self.backend.timeline()
-    }
-
-    /// The engine's own telemetry so far.
+    /// The engine's telemetry so far: FEED/GENERATE/TRANSFER host spans,
+    /// the `iterations`/`feed_words`/`numbers` counters, and the per-call
+    /// `batch_latency_ns` histogram.
     pub fn telemetry(&self) -> &Recorder {
         &self.recorder
     }
 
     /// Takes the telemetry out of the engine: spans and counters, plus the
     /// stage-busy gauges (`cpu_busy`, `gpu_busy`, `sim_ns`,
-    /// `gnumbers_per_s`) synced from the current [`PipelineStats`].
+    /// `gnumbers_per_s`) synced from the current [`PipelineStats`]. On the
+    /// device backend, pair the result with [`Engine::timeline`] and
+    /// `hprng_telemetry::chrome_trace` for a merged host + device trace.
     pub fn take_telemetry(&mut self) -> Recorder {
         let stats = self.stats();
         self.recorder.set_gauge("cpu_busy", stats.cpu_busy);
@@ -227,8 +229,7 @@ impl<B: Backend> Engine<B> {
     /// resident walk.
     ///
     /// Fails with [`HprngError::CheckpointUnsupported`] when the feed did
-    /// not expose a master seed (see
-    /// [`BitFeed::master_seed`](crate::pipeline::BitFeed::master_seed)) —
+    /// not expose a master seed (see [`BitFeed::master_seed`]) —
     /// without it a restore could not rebuild the raw-bit stream.
     pub fn checkpoint(&self) -> Result<crate::StreamState, HprngError> {
         let seed = self

@@ -14,13 +14,13 @@
 //!   batch's bits from the feed on the calling thread and hands them to
 //!   the backend.
 //!
-//! `HybridPrng`/`HybridSession` remain the ergonomic front door; they are
-//! now a thin facade over `Engine<DeviceBackend>`.
+//! `HybridPrng` remains the ergonomic front door: the `HybridSession` it
+//! opens is `Engine<DeviceBackend>` itself.
 
 pub mod backend;
 pub mod engine;
 pub mod feed;
 
-pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend, SharedDeviceBackend};
+pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend};
 pub use engine::{Engine, PipelineStats};
 pub use feed::{BitFeed, GlibcFeed, RngFeed, SplitMixFeed};

@@ -46,11 +46,12 @@ impl ExpanderWalkRng<RngBitSource<GlibcRand>> {
         rng
     }
 
-    /// Rebuilds a generator from a checkpointed [`StreamState`] captured
-    /// by [`ExpanderWalkRng::checkpoint`] (or by a pool shard hosting one):
-    /// reconstructs the paper's configuration from `state.seed` and
-    /// fast-forwards to the checkpointed position in O(chunks) via
-    /// [`TriBitReader::skip_chunks`] — the walk itself is never replayed.
+    /// Rebuilds a generator from a checkpointed [`crate::StreamState`]
+    /// captured by [`ExpanderWalkRng::checkpoint`] (or by a pool shard
+    /// hosting one): reconstructs the paper's configuration from
+    /// `state.seed` and fast-forwards to the checkpointed position in
+    /// O(chunks) via [`TriBitReader::skip_chunks`] — the walk itself is
+    /// never replayed.
     pub fn resume(state: &crate::StreamState) -> Result<Self, crate::HprngError> {
         let mut rng = Self::from_seed_u64(state.seed);
         rng.restore_from(state)?;

@@ -1,5 +1,6 @@
 //! [`StreamState`] — the serializable resumable identity of a generator
-//! stream — and the [`Checkpoint`]/[`Restore`] trait pair.
+//! stream, captured by [`crate::OnDemandRng::try_checkpoint`] and applied
+//! by [`crate::OnDemandRng::try_restore`].
 //!
 //! The paper's premise is that `GetNextRand()` state is tiny: a walk
 //! position on the Gabber–Galil expander plus a step count. This module
@@ -205,41 +206,6 @@ fn u64_field(value: &Value, key: &'static str) -> Result<u64, HprngError> {
             field: key,
             reason: "not a decimal u64",
         })
-}
-
-/// Capturing a stream's resumable identity.
-///
-/// Blanket-implemented for every [`crate::OnDemandRng`] provider via
-/// [`crate::OnDemandRng::try_checkpoint`], so `Box<dyn OnDemandRng>`
-/// sessions (the pool shard shape) are checkpointable without knowing the
-/// concrete type. Providers that do not support checkpointing return
-/// [`HprngError::CheckpointUnsupported`].
-pub trait Checkpoint {
-    /// Captures the stream's current resumable state.
-    fn checkpoint(&mut self) -> Result<StreamState, HprngError>;
-}
-
-/// Re-positioning a provider onto a checkpointed stream state.
-///
-/// Restoring never rewinds: providers rebuild from the seed (or require a
-/// freshly built instance) and fast-forward to the recorded position, so
-/// the words served after a restore are bit-identical to what the
-/// original, uninterrupted stream would have produced.
-pub trait Restore {
-    /// Fast-forwards this provider onto `state`.
-    fn restore(&mut self, state: &StreamState) -> Result<(), HprngError>;
-}
-
-impl<T: crate::ondemand::OnDemandRng + ?Sized> Checkpoint for T {
-    fn checkpoint(&mut self) -> Result<StreamState, HprngError> {
-        self.try_checkpoint()
-    }
-}
-
-impl<T: crate::ondemand::OnDemandRng + ?Sized> Restore for T {
-    fn restore(&mut self, state: &StreamState) -> Result<(), HprngError> {
-        self.try_restore(state)
-    }
 }
 
 #[cfg(test)]

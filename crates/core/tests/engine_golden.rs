@@ -7,7 +7,7 @@
 //! changes a single word.
 
 use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{GlibcFeed, HybridParams, HybridPrng, WalkParams};
+use hprng_core::{GlibcFeed, HybridParams, HybridPrng, OnDemandRng, WalkParams};
 use hprng_gpu_sim::{Device, DeviceConfig};
 
 fn engine<B: Backend>(backend: B, seed: u64) -> Engine<B> {
@@ -65,6 +65,11 @@ fn non_default_walk_params_match_the_pin_on_both_backends() {
     fn fingerprint<B: Backend>(mut e: Engine<B>) -> (u64, u64) {
         e.initialize(33).unwrap();
         let out = run_pattern(&mut e, &[33, 5, 33]);
+        // The session accounting every `OnDemandRng` consumer reads: the
+        // 71 words served and the same feed words the stats pin.
+        let label = e.backend().label();
+        assert_eq!(e.words_served(), 71, "{label} words served");
+        assert_eq!(e.raw_words_consumed(), Some(175), "{label} raw words");
         (fnv(&out), e.stats().feed_words)
     }
     // (FNV-1a of the outputs, feed words).

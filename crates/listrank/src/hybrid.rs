@@ -10,7 +10,7 @@
 //!   the expander-walk generator produces exactly one bit per live node per
 //!   iteration.
 //! * [`RandomnessStrategy::BatchGlibc`] — "Hybrid Time (glibc rand)": the
-//!   baseline of [3], which must provision the upper bound (`n` bits) every
+//!   baseline of \[3\], which must provision the upper bound (`n` bits) every
 //!   iteration because the demand is unknown a priori.
 //! * [`RandomnessStrategy::BatchMt`] — "Pure GPU MT": batch provisioning
 //!   from a Mersenne-Twister stream.
@@ -30,7 +30,7 @@ use std::time::Instant;
 pub enum RandomnessStrategy {
     /// On-demand expander-walk generator (the paper's contribution).
     OnDemandExpander,
-    /// Worst-case batches from glibc `rand()` (the baseline of [3]).
+    /// Worst-case batches from glibc `rand()` (the baseline of \[3\]).
     BatchGlibc,
     /// Worst-case batches from MT19937-64 (the "Pure GPU MT" curve).
     BatchMt,

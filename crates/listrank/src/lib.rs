@@ -21,7 +21,7 @@
 //!   book-keeping and bit accounting.
 //! * [`helman_jaja_rank`] — the Helman–JáJà sublist algorithm used on the
 //!   reduced list.
-//! * [`hybrid`] — the three-phase algorithm of [3] with pluggable
+//! * [`hybrid`] — the three-phase algorithm of \[3\] with pluggable
 //!   randomness strategies, reproducing Figure 7.
 //! * [`ondemand`] — Algorithm 3 routed through any
 //!   [`OnDemandRng`](hprng_core::OnDemandRng) session (one lane per node),

@@ -22,7 +22,7 @@
 //!   [`WordTap`], so a `HybridSession` (or the list-ranking/Monte-Carlo
 //!   loops) owns one tap while the caller keeps a handle to poll status,
 //!   drain alerts, and export gauges/series into a
-//!   [`Recorder`](hprng_telemetry::Recorder).
+//!   [`Recorder`].
 //! * [`refstreams`] — known-bad reference streams (constant, glibc-LCG
 //!   low bits) used for sentinel self-validation.
 

@@ -3,7 +3,7 @@
 //!
 //! A from-scratch MCML-style simulator (Wang–Jacques variance-reduction
 //! model, the one Alerstam et al.'s CUDAMCML — the paper's reference
-//! implementation [1] — parallelizes): photon packets take exponential
+//! implementation \[1\] — parallelizes): photon packets take exponential
 //! steps, deposit a fraction of their weight at every interaction, scatter
 //! by Henyey–Greenstein, refract/reflect at layer boundaries by Fresnel's
 //! equations, and die by Russian roulette. Outputs are diffuse reflectance,

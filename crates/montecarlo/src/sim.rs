@@ -14,7 +14,7 @@ use std::time::Instant;
 /// comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RandomSupply {
-    /// The original CUDAMCML design [1]: a 32-bit multiply-with-carry
+    /// The original CUDAMCML design \[1\]: a 32-bit multiply-with-carry
     /// generator whose outputs are staged through a memory buffer
     /// ("Original" in Figure 8). The buffer models the extra global-memory
     /// round trip the paper eliminates.

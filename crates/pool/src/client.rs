@@ -156,8 +156,8 @@ impl PoolClient {
         StreamState::minimal("pool", self.id, self.lane_seed, self.lanes, self.served)
     }
 
-    /// Asks the serving shard for the session's own checkpoint
-    /// ([`Request::Checkpoint`] round-trip). Unlike
+    /// Asks the serving shard for the session's own checkpoint (one
+    /// request/reply round-trip to the shard worker). Unlike
     /// [`PoolClient::checkpoint`], the returned state sits at the words
     /// the session *produced* — ahead of this client's consumption by up
     /// to the in-flight prefetch — and, for providers with rich state

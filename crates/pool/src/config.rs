@@ -6,9 +6,7 @@ use std::time::Duration;
 
 use hprng_core::{
     CpuBackend, Engine, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, OnDemandRng,
-    SharedDeviceBackend,
 };
-use hprng_gpu_sim::DeviceConfig;
 
 use crate::pool::Pool;
 
@@ -60,22 +58,14 @@ pub enum SessionKind {
     ExpanderWalk,
     /// One [`Engine`] on a [`CpuBackend`] per client (the §IV-A multicore
     /// variant): `lanes` walks fed by glibc `rand()` under the client's
-    /// lane seed.
+    /// lane seed. It serves the words an engine on the simulated-device
+    /// backend would: the two backends are pinned bit-identical.
     CpuEngine {
-        /// Device-resident walks per client session.
+        /// Host walks per client session.
         lanes: usize,
-        /// Pipeline parameters (batch size, warm-up).
+        /// Pipeline parameters. The engine reads only their walk
+        /// configuration (`params.walk`: warm-up and walk lengths).
         params: HybridParams,
-    },
-    /// One [`Engine`] on a [`SharedDeviceBackend`] per client: the full
-    /// simulated-device pipeline of Algorithms 1 and 2.
-    DeviceEngine {
-        /// Simulated device configuration (one device per client session).
-        config: DeviceConfig,
-        /// Pipeline parameters.
-        params: HybridParams,
-        /// Device-resident walks per client session.
-        lanes: usize,
     },
     /// Bring your own generator (used by the stress suite to inject
     /// panicking and slow sessions). `lanes` is the advertised per-client
@@ -100,10 +90,6 @@ impl std::fmt::Debug for SessionKind {
             SessionKind::CpuEngine { lanes, .. } => {
                 f.debug_struct("CpuEngine").field("lanes", lanes).finish()
             }
-            SessionKind::DeviceEngine { lanes, .. } => f
-                .debug_struct("DeviceEngine")
-                .field("lanes", lanes)
-                .finish(),
             SessionKind::Custom { lanes, .. } => {
                 f.debug_struct("Custom").field("lanes", lanes).finish()
             }
@@ -116,9 +102,7 @@ impl SessionKind {
     pub(crate) fn lanes(&self) -> usize {
         match self {
             SessionKind::ExpanderWalk => 1,
-            SessionKind::CpuEngine { lanes, .. }
-            | SessionKind::DeviceEngine { lanes, .. }
-            | SessionKind::Custom { lanes, .. } => *lanes,
+            SessionKind::CpuEngine { lanes, .. } | SessionKind::Custom { lanes, .. } => *lanes,
         }
     }
 
@@ -130,18 +114,6 @@ impl SessionKind {
             SessionKind::CpuEngine { lanes, params } => {
                 let mut engine = Engine::new(
                     CpuBackend::new(*params),
-                    Box::new(GlibcFeed::from_master_seed(seed)),
-                );
-                engine.initialize(*lanes)?;
-                Ok(Box::new(engine))
-            }
-            SessionKind::DeviceEngine {
-                config,
-                params,
-                lanes,
-            } => {
-                let mut engine = Engine::new(
-                    SharedDeviceBackend::new(config.clone(), *params),
                     Box::new(GlibcFeed::from_master_seed(seed)),
                 );
                 engine.initialize(*lanes)?;

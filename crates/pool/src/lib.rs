@@ -75,7 +75,7 @@ pub use config::{FullPolicy, PoolBuilder, SessionFactory, SessionKind};
 pub use obs::names;
 pub use pool::{Pool, PoolStats};
 
-// The checkpoint/restore vocabulary the pool's failover, migration, and
-// persistence APIs speak, re-exported so pool users need not depend on
-// `hprng-core` directly.
-pub use hprng_core::{Checkpoint, Restore, StreamState};
+// The checkpoint value the pool's failover, migration, and persistence
+// APIs speak, re-exported so pool users need not depend on `hprng-core`
+// directly.
+pub use hprng_core::StreamState;

@@ -26,7 +26,7 @@ use hprng_transport::RingInstruments;
 /// Counters follow the Prometheus `_total` convention; gauges and
 /// histograms are bare. The exporter prefixes everything with
 /// [`hprng_telemetry::prometheus::METRIC_PREFIX`], so e.g.
-/// [`POOL_WORDS`] scrapes as `hprng_pool_words_total`.
+/// [`names::POOL_WORDS`] scrapes as `hprng_pool_words_total`.
 pub mod names {
     /// Prefetch-block refills served, pool-wide (counter).
     pub const POOL_REFILLS: &str = "pool_refills_total";

@@ -42,7 +42,7 @@ pub(crate) enum Request {
         resume: Option<Box<StreamState>>,
     },
     /// Capture the client's session state
-    /// ([`hprng_core::Checkpoint`]) and send it back on `reply`.
+    /// ([`OnDemandRng::try_checkpoint`]) and send it back on `reply`.
     ///
     /// The state is positioned at the words the *session produced*, which
     /// leads the words the client consumed by up to two prefetch blocks;
@@ -107,12 +107,12 @@ struct ClientSlot {
 /// fast-forwards by `session_words / lanes` *whole* rounds; the client
 /// skips the `session_words % lanes` remainder from the first block it
 /// installs. The fast path hands the rounded state to the session's own
-/// [`hprng_core::Restore`] implementation (O(feed cursor) for the
-/// expander walk, replay for engines); if the session declines — e.g. a
-/// minimal client-side state whose label the provider does not recognize
-/// — the worker falls back to draw-and-discard replay on a fresh
-/// session, which is always exact because the stream is a pure function
-/// of the lane seed and the full-width request history.
+/// [`OnDemandRng::try_restore`] (O(feed cursor) for the expander walk,
+/// replay for engines); if the session declines — e.g. a minimal
+/// client-side state whose label the provider does not recognize — the
+/// worker falls back to draw-and-discard replay on a fresh session,
+/// which is always exact because the stream is a pure function of the
+/// lane seed and the full-width request history.
 fn build_session(
     kind: &SessionKind,
     pool_seed: u64,

@@ -98,29 +98,6 @@ fn cpu_engine_clients_match_a_dedicated_engine() {
 }
 
 #[test]
-fn device_engine_clients_are_deterministic() {
-    let build = || {
-        Pool::builder(3)
-            .shards(1)
-            .prefetch_words(16)
-            .session(SessionKind::DeviceEngine {
-                config: hprng_gpu_sim::DeviceConfig::test_tiny(),
-                params: HybridParams::default(),
-                lanes: 8,
-            })
-            .build()
-            .unwrap()
-    };
-    let draw = |pool: &Pool| {
-        let mut client = pool.try_client_with_id(2).unwrap();
-        client.try_next_batch(40).unwrap()
-    };
-    let (a, b) = (draw(&build()), draw(&build()));
-    assert_eq!(a.len(), 40);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn pool_lanes_drive_photon_migration_bit_identically_to_expander_lanes() {
     use hprng_montecarlo::{run_simulation_on, RandomSupply, SimConfig, Tissue};
     let tissue = Tissue::three_layer();

@@ -11,7 +11,7 @@
 //!   [`Stage::Transfer`], [`Stage::Generate`], [`Stage::App`]), named
 //!   counters, log-bucketed latency [`Histogram`]s, and (x, y) series.
 //! * [`chrome_trace`] — a Chrome-trace (Perfetto JSON) exporter that merges
-//!   a simulated [`Timeline`](hprng_gpu_sim::Timeline) with a recorder's
+//!   a simulated [`Timeline`] with a recorder's
 //!   host spans and counters into one `chrome://tracing`-loadable file.
 //! * [`busy_fractions`] — the inverse direction: reconstructs per-resource
 //!   busy fractions from an exported trace, used by tests to prove the
@@ -314,10 +314,10 @@ impl Recorder {
 
     /// A fresh recorder measuring time from an explicit epoch.
     ///
-    /// Recorders running on different threads of one pipeline (the FEED
-    /// producer and the GENERATE consumer, say) should share an epoch so
-    /// that, once merged with [`Recorder::absorb`], their spans land on one
-    /// consistent clock.
+    /// Recorders whose spans will be merged with [`Recorder::absorb`] (a
+    /// pipeline engine's successive telemetry snapshots, or recorders kept
+    /// on different threads) should share an epoch so that their spans
+    /// land on one consistent clock.
     pub fn with_epoch(epoch: Instant) -> Self {
         Self {
             epoch,

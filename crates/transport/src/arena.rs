@@ -1,9 +1,8 @@
 //! [`BlockPool`]: a recycled-buffer arena for `Vec<u64>` blocks.
 //!
-//! Every layer of the serving path circulates block-sized `Vec<u64>`
-//! buffers: the pipeline feeder fills one block per ring slot, shard
-//! workers fill prefetch buffers, clients hold a front/back pair plus a
-//! replay stash. Allocating those on every hop puts the allocator on the
+//! The serving path circulates block-sized `Vec<u64>` buffers: shard
+//! workers fill prefetch buffers, and clients hold a front/back pair plus
+//! a replay stash. Allocating those on every hop puts the allocator on the
 //! word-serving hot path. The arena removes it: blocks are checked out,
 //! filled, consumed, and given back, so steady state recycles the same
 //! few allocations forever.

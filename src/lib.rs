@@ -21,10 +21,9 @@
 //! * [`gpu`] — the simulated hybrid CPU+GPU platform.
 //! * [`prng`] — [`prng::ExpanderWalkRng`], [`prng::HybridPrng`] and
 //!   [`prng::CpuParallelPrng`]: the paper's generator. The stage-decoupled
-//!   engine behind the hybrid facade lives in [`prng::pipeline`]:
-//!   [`BitFeed`] feeders, the ping-pong TRANSFER ring, and the
+//!   engine lives in [`prng::pipeline`]: [`BitFeed`] feeders and the
 //!   [`Backend`]s ([`DeviceBackend`], [`CpuBackend`]) unified under
-//!   [`Engine`].
+//!   [`Engine`], which on the device backend is the [`HybridSession`].
 //! * [`stattests`] — DIEHARD-style and Crush-style quality batteries.
 //! * [`listrank`] — Application I: hybrid list ranking.
 //! * [`montecarlo`] — Application II: photon migration.
@@ -42,10 +41,10 @@
 //! [`ExpanderWalkRng`], [`HybridPrng`], [`HybridSession`], [`HprngError`],
 //! the [`WalkParams`]/[`HybridParams`]/[`DeviceConfig`] builders, the
 //! pool's [`Pool`]/[`PoolClient`]/[`FullPolicy`]/[`SessionKind`], the
-//! checkpoint vocabulary [`StreamState`]/[`Checkpoint`]/[`Restore`], the
-//! telemetry [`Recorder`], and the monitor's
-//! [`MonitorConfig`]/[`MonitorHandle`]/[`AlertSink`]. Applications that
-//! prefer a single import can `use hybrid_prng::prelude::*;`.
+//! checkpoint value [`StreamState`], the telemetry [`Recorder`], and the
+//! monitor's [`MonitorConfig`]/[`MonitorHandle`]/[`AlertSink`].
+//! Applications that prefer a single import can
+//! `use hybrid_prng::prelude::*;`.
 //!
 //! # One error type
 //!
@@ -110,15 +109,14 @@
 //!    can export as a Chrome trace.
 //! 5. **Misuse is an `Err`, not UB.** Zero threads, zero-count batches,
 //!    and oversized batches return [`HprngError`] from the `try_*`
-//!    variants; the historical panicking methods remain as deprecated thin
-//!    wrappers.
+//!    methods.
 //! 6. **One contract, many providers.** The [`OnDemandRng`] trait codifies
 //!    the `GetNextRand()` interface — per-call batch sizing, lane count,
 //!    word accounting, an optional quality tap — and is implemented by the
-//!    pipeline [`Engine`] on both backends, [`CpuParallelPrng`] sessions,
-//!    a single [`ExpanderWalkRng`] walk, and (via [`ScalarRng`]) every
-//!    baseline generator. [`SplitOnDemand`] families such as
-//!    [`ExpanderLanes`] hand independent lanes to parallel consumers. Both
+//!    pipeline [`Engine`] on both backends, a single [`ExpanderWalkRng`]
+//!    walk, and (via [`ScalarRng`]) every baseline generator.
+//!    [`SplitOnDemand`] families such as [`ExpanderLanes`] and
+//!    [`CpuParallelPrng`] hand independent lanes to parallel consumers. Both
 //!    applications ([`listrank::rank_on_session`],
 //!    [`montecarlo::run_simulation_on`]) are generic over it.
 
@@ -140,10 +138,10 @@ pub use hprng_telemetry as telemetry;
 pub use hprng_transport as transport;
 
 pub use hprng_core::{
-    Backend, BitFeed, Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine,
-    ExpanderLanes, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder,
-    HybridPrng, HybridSession, OnDemandRng, PipelineStats, Restore, ScalarRng, SharedDeviceBackend,
-    SplitOnDemand, StreamState, WalkParams, WalkParamsBuilder,
+    Backend, BitFeed, CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes,
+    ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder, HybridPrng,
+    HybridSession, OnDemandRng, PipelineStats, ScalarRng, SplitOnDemand, StreamState, WalkParams,
+    WalkParamsBuilder,
 };
 pub use hprng_gpu_sim::{ConfigError, DeviceConfig, DeviceConfigBuilder};
 pub use hprng_monitor::{
@@ -222,10 +220,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub mod prelude {
     pub use crate::{Error, Result};
     pub use hprng_core::{
-        Checkpoint, CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes,
-        ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridPrng, HybridSession,
-        OnDemandRng, Restore, ScalarRng, SharedDeviceBackend, SplitOnDemand, StreamState,
-        WalkParams,
+        CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes, ExpanderWalkRng,
+        GlibcFeed, HprngError, HybridParams, HybridPrng, HybridSession, OnDemandRng, ScalarRng,
+        SplitOnDemand, StreamState, WalkParams,
     };
     pub use hprng_gpu_sim::DeviceConfig;
     pub use hprng_monitor::{AlertSink, MonitorConfig, MonitorHandle};
