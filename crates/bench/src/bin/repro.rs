@@ -32,13 +32,13 @@
 //!               [--assert-clean | --assert-alerts]
 //!                                     streaming quality sentinels
 //! repro pool-dash [--shards S] [--clients C] [--words W]
-//!                 [--policy block|tryfor] [--sample-every N]
+//!                 [--sample-every N]
 //!                 [--prom-out <path>] [--trace-out <path>]
 //!                 [--metrics-out <path>]
 //!                                     live per-shard dashboard over a
 //!                                     traced pool: queue depth, phase
-//!                                     latency quantiles, stall/replay
-//!                                     rates; exports the final snapshot
+//!                                     latency quantiles, words per
+//!                                     shard; exports the final snapshot
 //! repro chaos [--schedules N] [--seed S] [--replay SEED]
 //!                                     deterministic fault-injection
 //!                                     soak over the sharded pool
@@ -76,7 +76,6 @@ struct Args {
     pool: bool,
     shards: usize,
     clients: usize,
-    policy: String,
     schedules: usize,
     replay: Option<u64>,
 }
@@ -103,7 +102,6 @@ fn parse_args() -> Args {
         pool: false,
         shards: 2,
         clients: 4,
-        policy: "block".to_string(),
         schedules: 64,
         replay: None,
     };
@@ -226,13 +224,6 @@ fn parse_args() -> Args {
             }
             "--clients" => {
                 args.clients = argv[i + 1].parse().expect("--clients takes an integer");
-                i += 2;
-            }
-            "--policy" => {
-                args.policy = argv
-                    .get(i + 1)
-                    .expect("--policy takes block|tryfor")
-                    .clone();
                 i += 2;
             }
             "--schedules" => {
@@ -461,16 +452,11 @@ fn main() {
     // Live serving-layer dashboard over a traced pool.
     if args.cmd == "pool-dash" {
         use std::io::IsTerminal;
-        let policy = pooldash::parse_policy(&args.policy).unwrap_or_else(|| {
-            eprintln!("unknown --policy {} (expected block|tryfor)", args.policy);
-            std::process::exit(2);
-        });
         let cfg = pooldash::PoolDashConfig {
             seed: args.seed,
             shards: args.shards,
             clients: args.clients,
             words: args.words,
-            policy,
             sample_every: args.sample_every,
             live: std::io::stdout().is_terminal(),
         };

@@ -4,12 +4,11 @@
 //! Spins up a [`Pool`] with request-path tracing on, drives it with a
 //! configurable client fleet, and redraws a per-shard table while the
 //! run is in flight: queue depth and occupancy, service / enqueue-wait /
-//! refill-copy latency quantiles, and the stall / replay outcome
-//! counters. The final telemetry snapshot is returned so the
-//! caller can export it (`--prom-out`, `--trace-out`) or assert on it.
+//! refill-copy latency quantiles, and the words each shard produced. The
+//! final telemetry snapshot is returned so the caller can export it
+//! (`--prom-out`, `--trace-out`) or assert on it.
 
-use hprng_core::HprngError;
-use hprng_pool::{names, FullPolicy, Pool};
+use hprng_pool::{names, Pool};
 use hprng_telemetry::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -28,8 +27,6 @@ pub struct PoolDashConfig {
     pub clients: usize,
     /// Total word budget across all clients.
     pub words: u64,
-    /// Backpressure policy under load.
-    pub policy: FullPolicy,
     /// 1-in-N span sampling passed to [`hprng_pool::PoolBuilder::tracing`].
     pub sample_every: u64,
     /// Redraw a live dashboard while running (terminal use only).
@@ -43,7 +40,6 @@ impl Default for PoolDashConfig {
             shards: 2,
             clients: 4,
             words: 1 << 22,
-            policy: FullPolicy::Block,
             sample_every: 64,
             live: false,
         }
@@ -62,25 +58,6 @@ pub struct PoolDashReport {
     pub words_per_s: f64,
 }
 
-/// Parses the `--policy` flag value. `tryfor` carries a fixed 2 ms
-/// patience — long enough for healthy refills, short enough that the
-/// stall counters actually move when a shard falls behind.
-pub fn parse_policy(s: &str) -> Option<FullPolicy> {
-    match s {
-        "block" => Some(FullPolicy::Block),
-        "tryfor" => Some(FullPolicy::TryFor(Duration::from_millis(2))),
-        _ => None,
-    }
-}
-
-/// Human-readable policy name for the dashboard header.
-pub fn policy_label(policy: FullPolicy) -> String {
-    match policy {
-        FullPolicy::Block => "block".to_string(),
-        FullPolicy::TryFor(patience) => format!("tryfor {}ms", patience.as_millis()),
-    }
-}
-
 /// Renders one dashboard frame from a telemetry snapshot.
 ///
 /// Pure string construction — the tests assert on it without a terminal,
@@ -90,10 +67,9 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "repro pool-dash — {} shard(s) × {} client(s), policy {}, spans 1-in-{}",
+        "repro pool-dash — {} shard(s) × {} client(s), spans 1-in-{}",
         cfg.shards.max(1),
         cfg.clients.max(1),
-        policy_label(cfg.policy),
         cfg.sample_every.max(1)
     );
     let _ = writeln!(
@@ -104,17 +80,8 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
     );
     let _ = writeln!(
         out,
-        "  {:>5} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>7} {:>8} {:>10}",
-        "shard",
-        "depth",
-        "occ%",
-        "svc p50",
-        "svc p99",
-        "wait p99",
-        "copy p99",
-        "stalls",
-        "replays",
-        "words"
+        "  {:>5} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "shard", "depth", "occ%", "svc p50", "svc p99", "wait p99", "copy p99", "words"
     );
     // A shard that traced no requests has missing or empty histograms;
     // its quantiles are undefined, shown as `-` rather than a NaN.
@@ -138,13 +105,11 @@ pub fn render_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f6
         let copy = names::shard_refill_copy_ns(shard);
         let _ = writeln!(
             out,
-            "  {shard:>5} {depth:>6.0} {occ:>6.1} {:>10} {:>10} {:>10} {:>10} {:>7.0} {:>8.0} {:>10.0}",
+            "  {shard:>5} {depth:>6.0} {occ:>6.1} {:>10} {:>10} {:>10} {:>10} {:>10.0}",
             us(quant(&service, 0.50)),
             us(quant(&service, 0.99)),
             us(quant(&wait, 0.99)),
             us(quant(&copy, 0.99)),
-            snap.counter(&names::shard_stalls(shard)),
-            snap.counter(&names::shard_replays(shard)),
             snap.counter(&names::shard_words(shard)),
         );
     }
@@ -163,15 +128,13 @@ fn live_frame(cfg: &PoolDashConfig, snap: &Recorder, served: u64, secs: f64) {
 /// Drives a traced pool with the configured client fleet, redrawing the
 /// dashboard while the run is live, and returns the final snapshot.
 ///
-/// Under [`FullPolicy::TryFor`] clients simply retry stalled requests —
-/// the stall lands on the shard's counter and the dashboard shows it;
-/// any other client error is a bug and panics.
+/// A healthy pool never fails a request, so a client error is a bug and
+/// panics.
 pub fn run_pool_dash(cfg: &PoolDashConfig) -> PoolDashReport {
     let shards = cfg.shards.max(1);
     let fleet = cfg.clients.max(1);
     let pool = Pool::builder(cfg.seed)
         .shards(shards)
-        .full_policy(cfg.policy)
         .tracing(cfg.sample_every.max(1))
         .build()
         .expect("pool configuration is valid");
@@ -190,15 +153,12 @@ pub fn run_pool_dash(cfg: &PoolDashConfig) -> PoolDashReport {
                 let mut remaining = per_client;
                 while remaining > 0 {
                     let take = remaining.min(REQUEST as u64) as usize;
-                    match client.fill_words(&mut out[..take]) {
-                        Ok(()) => {
-                            std::hint::black_box(&out);
-                            served.fetch_add(take as u64, Ordering::Relaxed);
-                            remaining -= take as u64;
-                        }
-                        Err(HprngError::ShardStalled { .. }) => continue,
-                        Err(other) => panic!("pool client failed: {other:?}"),
-                    }
+                    client
+                        .fill_words(&mut out[..take])
+                        .expect("pool client failed");
+                    std::hint::black_box(&out);
+                    served.fetch_add(take as u64, Ordering::Relaxed);
+                    remaining -= take as u64;
                 }
                 finished.fetch_add(1, Ordering::Relaxed);
             });
@@ -235,7 +195,6 @@ mod tests {
             shards: 2,
             clients: 2,
             words: 1 << 16,
-            policy: FullPolicy::Block,
             sample_every: 8,
             live: false,
         }
@@ -285,18 +244,5 @@ mod tests {
             assert!(line.contains('-'), "untraced shard row lacks `-`: {line}");
         }
         assert_eq!(frame.lines().count(), 3 + cfg.shards, "{frame}");
-    }
-
-    #[test]
-    fn policy_flag_round_trips() {
-        assert_eq!(parse_policy("block"), Some(FullPolicy::Block));
-        assert_eq!(
-            parse_policy("tryfor"),
-            Some(FullPolicy::TryFor(Duration::from_millis(2)))
-        );
-        assert_eq!(parse_policy("degrade"), None);
-        assert_eq!(parse_policy("panic"), None);
-        assert_eq!(policy_label(FullPolicy::Block), "block");
-        assert!(policy_label(parse_policy("tryfor").unwrap()).contains("2ms"));
     }
 }

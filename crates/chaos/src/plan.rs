@@ -2,7 +2,7 @@
 //! [`PlanHook`], the [`FaultHook`] that fires it.
 //!
 //! A plan is a pure function of one u64 seed: the pool shape it runs
-//! against (shards, clients, prefetch, queue depth, policy, failover)
+//! against (shards, clients, prefetch, queue depth, failover)
 //! *and* the faults it injects are all derived from a single
 //! `SplitMix64` walk over the seed. Reporting a failing schedule
 //! therefore only takes printing its seed — `FaultPlan::from_seed`
@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use hprng_baselines::SplitMix64;
-use hprng_pool::FullPolicy;
 use hprng_transport::chaos::{FaultAction, FaultHook, FaultPoint};
 
 /// Kill one shard worker mid-refill: the `at_refill`-th
@@ -42,7 +41,7 @@ pub struct Periodic {
 ///
 /// ```text
 /// plan{seed=0x2a shards=2 clients=3 prefetch=8 depth=2
-///      policy=tryfor(2ms) failover=on words=256
+///      failover=on words=256
 ///      faults=[panic(shard1@r4) stall(refill%5=1ms) stall(send%7=1ms)
 ///              exhaust no-retain slow-consumer corrupt claim-panic]}
 /// ```
@@ -60,8 +59,6 @@ pub struct FaultPlan {
     pub prefetch_words: usize,
     /// Pool request-queue depth.
     pub queue_depth: usize,
-    /// Client backpressure policy.
-    pub policy: FullPolicy,
     /// Whether the pool routes around poisoned shards.
     pub failover: bool,
     /// Words each client drains.
@@ -99,13 +96,13 @@ impl FaultPlan {
         let clients = 1 + pick(4) as usize;
         let prefetch_words = [4usize, 8, 32][pick(3) as usize];
         let queue_depth = [1usize, 2, 8][pick(3) as usize];
-        // Three-way pick: the third value selected a since-removed policy
-        // and now maps to `Block`, so every older seed whose plan was
-        // `Block` or `TryFor` still derives the identical plan.
-        let policy = match pick(3) {
-            1 => FullPolicy::TryFor(Duration::from_millis(1 + pick(3))),
-            _ => FullPolicy::Block,
-        };
+        // Retired picks: a three-way backpressure-policy choice, plus a
+        // patience when it drew 1. Every pool now blocks, but the picks
+        // are still drawn so every older seed derives its other faults
+        // unchanged.
+        if pick(3) == 1 {
+            pick(3);
+        }
         let failover = pick(2) == 1;
         let words_per_client = 96 + pick(289) as usize; // 96..=384
         let worker_panic = (pick(2) == 1).then(|| WorkerPanic {
@@ -133,7 +130,6 @@ impl FaultPlan {
             clients,
             prefetch_words,
             queue_depth,
-            policy,
             failover,
             words_per_client,
             worker_panic,
@@ -153,16 +149,13 @@ impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "plan{{seed={:#x} shards={} clients={} prefetch={} depth={} policy=",
-            self.seed, self.shards, self.clients, self.prefetch_words, self.queue_depth
-        )?;
-        match self.policy {
-            FullPolicy::Block => write!(f, "block")?,
-            FullPolicy::TryFor(p) => write!(f, "tryfor({}ms)", p.as_millis())?,
-        }
-        write!(
-            f,
-            " failover={} words={} faults=[",
+            "plan{{seed={:#x} shards={} clients={} prefetch={} depth={} failover={} words={} \
+             faults=[",
+            self.seed,
+            self.shards,
+            self.clients,
+            self.prefetch_words,
+            self.queue_depth,
             if self.failover { "on" } else { "off" },
             self.words_per_client
         )?;
@@ -324,14 +317,31 @@ mod tests {
 
     #[test]
     fn older_seeds_derive_their_original_plans() {
-        // The soak seed that found the dead-shard `flush_pending` bug
-        // under `Block`; its plan must replay unchanged.
+        // The soak seed that found the dead-shard refill bug; its plan
+        // must replay unchanged.
         assert_eq!(
             FaultPlan::from_seed(6349198060258255764).to_string(),
             "plan{seed=0x581ce1ff0e4ae394 shards=2 clients=1 prefetch=32 depth=8 \
-             policy=block failover=on words=355 \
+             failover=on words=355 \
              faults=[panic(shard0@r5) stall(recv%9=1ms) exhaust corrupt claim-panic]}"
         );
+    }
+
+    #[test]
+    fn seeds_0_to_512_derive_their_pinned_plans() {
+        // FNV-1a over every rendered plan, newline-terminated. Pinned from
+        // the plans as they rendered while the retired policy pick still
+        // chose a policy, with its ` policy=…` token stripped: dropping
+        // the policy moved no other fault of any seed.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..512u64 {
+            let plan = FaultPlan::from_seed(seed).to_string();
+            for byte in plan.bytes().chain(std::iter::once(b'\n')) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x8d55_898a_26bf_6912);
     }
 
     #[test]

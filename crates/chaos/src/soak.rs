@@ -38,11 +38,6 @@ use crate::plan::{FaultPlan, PlanHook};
 /// ring peers stranded.
 const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(10);
 
-/// Retry bound for [`HprngError::ShardStalled`] on one chunk; each retry
-/// re-enters the policy's patience wait, so this bounds harness time,
-/// not correctness.
-const STALL_RETRIES: u32 = 1000;
-
 /// The ragged chunk cycle all drains use (mirrors the failover suite's
 /// `drain_ragged`), so requests cross block boundaries in varied ways.
 const CHUNKS: [usize; 6] = [1, 7, 13, 64, 3, 29];
@@ -111,21 +106,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Drains `want` words with the policy-aware retry loop: a retryable
-/// [`HprngError::ShardStalled`] re-enters the wait (bounded), anything
-/// else surfaces to the caller.
-fn drain_chunk(client: &mut PoolClient, want: usize) -> Result<Vec<u64>, HprngError> {
-    let mut buf = vec![0u64; want];
-    let mut stalls = 0u32;
-    loop {
-        match client.fill_words(&mut buf) {
-            Ok(()) => return Ok(buf),
-            Err(HprngError::ShardStalled { .. }) if stalls < STALL_RETRIES => stalls += 1,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Whether `error` is one the plan could legitimately cause.
 fn error_is_scheduled(plan: &FaultPlan, error: &HprngError) -> bool {
     matches!(error, HprngError::ShardPoisoned { .. }) && plan.worker_panic.is_some()
@@ -156,7 +136,6 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
 
     let pool = match Pool::builder(plan.pool_seed)
         .shards(plan.shards)
-        .full_policy(plan.policy)
         .prefetch_words(plan.prefetch_words)
         .queue_depth(plan.queue_depth)
         .failover(plan.failover)
@@ -204,7 +183,7 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
             let want = CHUNKS[chunk_cursor % CHUNKS.len()]
                 .min(plan.words_per_client - lane.collected.len());
             chunk_cursor += 1;
-            match drain_chunk(client, want) {
+            match client.try_next_batch(want) {
                 Ok(words) => lane.collected.extend_from_slice(&words),
                 Err(e) => lane.error = Some(e),
             }
@@ -399,7 +378,7 @@ fn corruption_probe(
         && parsed.seed == original.seed
         && parsed.id == original.id
         && parsed.lanes == original.lanes;
-    let continuation = match drain_chunk(&mut resumed, 32) {
+    let continuation = match resumed.try_next_batch(32) {
         Ok(words) => words,
         Err(e) if error_is_scheduled(plan, &e) => return Ok(()),
         Err(e) => return Err(format!("resumed-from-corruption client failed: {e}")),

@@ -5,9 +5,7 @@
 //! bits — glibc `rand()` on the CPU — and the expander walk amplifies their
 //! quality (§IV-C "our technique can be seen as improving the quality of a
 //! naive random number generator"). [`RngBitSource`] turns any `RngCore`
-//! into the raw-bit FEED, and [`CountingBitSource`] measures exactly how
-//! many raw bits an application consumed — the quantity the on-demand
-//! comparison in Application I is about.
+//! into the raw-bit FEED.
 
 use hprng_expander::bits::BitSource;
 use rand_core::RngCore;
@@ -38,42 +36,6 @@ impl<R: RngCore> BitSource for RngBitSource<R> {
     }
 }
 
-/// Decorates a [`BitSource`] with a counter of words produced.
-#[derive(Clone, Debug)]
-pub struct CountingBitSource<S: BitSource> {
-    inner: S,
-    words: u64,
-}
-
-impl<S: BitSource> CountingBitSource<S> {
-    /// Wraps `inner` with a zeroed counter.
-    pub fn new(inner: S) -> Self {
-        Self { inner, words: 0 }
-    }
-
-    /// Total 64-bit words produced so far.
-    pub fn words_produced(&self) -> u64 {
-        self.words
-    }
-
-    /// Total raw bits produced so far.
-    pub fn bits_produced(&self) -> u64 {
-        self.words * 64
-    }
-
-    /// Consumes the adapter, returning the inner source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: BitSource> BitSource for CountingBitSource<S> {
-    fn fill(&mut self, buf: &mut [u64]) {
-        self.words += buf.len() as u64;
-        self.inner.fill(buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,26 +50,5 @@ mod tests {
         for &word in &buf {
             assert_eq!(word, reference.next());
         }
-    }
-
-    #[test]
-    fn counting_source_counts_words() {
-        let mut src = CountingBitSource::new(RngBitSource::new(SplitMix64::new(2)));
-        let mut buf = [0u64; 10];
-        src.fill(&mut buf);
-        src.fill(&mut buf[..3]);
-        assert_eq!(src.words_produced(), 13);
-        assert_eq!(src.bits_produced(), 13 * 64);
-    }
-
-    #[test]
-    fn counting_source_is_transparent() {
-        let mut counted = CountingBitSource::new(RngBitSource::new(SplitMix64::new(3)));
-        let mut plain = RngBitSource::new(SplitMix64::new(3));
-        let mut a = [0u64; 8];
-        let mut b = [0u64; 8];
-        counted.fill(&mut a);
-        plain.fill(&mut b);
-        assert_eq!(a, b);
     }
 }

@@ -98,9 +98,10 @@ impl CpuParallelPrng {
     /// The generator used by worker `t` — exposed so tests and applications
     /// can reproduce a single worker's stream.
     pub fn worker_rng(&self, t: u64) -> ExpanderWalkRng<RngBitSource<GlibcRand>> {
-        // Per-worker glibc seed derived by the crate-wide seeding module so
-        // workers are decorrelated even for consecutive seeds.
-        let glibc_seed = seeding::worker_seed(self.seed, t);
+        // Worker `t` is on-demand lane `t`: its glibc seed comes from the
+        // crate-wide lane derivation, so workers are decorrelated even for
+        // consecutive seeds.
+        let glibc_seed = seeding::feed_seed(seeding::lane_seed(self.seed, t));
         ExpanderWalkRng::with_params(RngBitSource::new(GlibcRand::new(glibc_seed)), self.params)
     }
 }

@@ -35,13 +35,6 @@ pub enum HprngError {
     },
     /// The simulated device configuration was rejected.
     Config(ConfigError),
-    /// A randomness-pool shard did not refill a client's prefetch cache
-    /// within the configured patience (`FullPolicy::TryFor`). The client
-    /// stays usable: the next request retries the same refill.
-    ShardStalled {
-        /// Which pool shard stalled.
-        shard: usize,
-    },
     /// A randomness-pool shard's worker thread is gone — it panicked while
     /// serving (poisoning mirrors the PR 3 ring semantics: peers keep
     /// serving, only this shard's clients are affected).
@@ -85,9 +78,6 @@ impl fmt::Display for HprngError {
                 write!(f, "invalid parameter {field}: {reason}")
             }
             HprngError::Config(e) => write!(f, "{e}"),
-            HprngError::ShardStalled { shard } => {
-                write!(f, "pool shard {shard} stalled past the refill patience")
-            }
             HprngError::ShardPoisoned { shard } => {
                 write!(f, "pool shard {shard} is poisoned (its worker panicked)")
             }
@@ -141,10 +131,6 @@ mod tests {
 
     #[test]
     fn pool_variant_messages_name_the_shard() {
-        assert_eq!(
-            HprngError::ShardStalled { shard: 3 }.to_string(),
-            "pool shard 3 stalled past the refill patience"
-        );
         assert_eq!(
             HprngError::ShardPoisoned { shard: 0 }.to_string(),
             "pool shard 0 is poisoned (its worker panicked)"

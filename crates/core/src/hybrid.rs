@@ -2,11 +2,14 @@
 //!
 //! Work-unit mapping (§IV-A): FEED (raw-bit production with glibc `rand()`)
 //! runs on the CPU, GENERATE (walk advancement) runs on the GPU, and
-//! TRANSFER ships bit batches over PCIe. The CPU produces the bits for
-//! iteration `k+1` while the GPU walks iteration `k`; transfers ride the
-//! copy engine underneath kernel execution on ping-pong streams. The
-//! [`PipelineStats`] and the device timeline reproduce Figure 4 (overlap and
-//! idle fractions) and Figure 5 (batch-size sweep).
+//! TRANSFER ships bit batches over PCIe. The engine fills each batch's bits
+//! inline; [`DeviceBackend`] charges that FEED to its own simulated CPU
+//! clock ([`crate::pipeline::Backend::record_feed`]) and opens one
+//! [`hprng_gpu_sim::Stream`] per call, whose transfer waits only for the
+//! FEED it carries. So on the simulated timeline the CPU feeds iteration
+//! `k+1` while the GPU walks iteration `k`. The [`PipelineStats`] and the
+//! device timeline reproduce Figure 4 (overlap and idle fractions) and
+//! Figure 5 (batch-size sweep).
 //!
 //! This module is the ergonomic front door: [`HybridPrng`] owns the device
 //! and opens [`HybridSession`]s, each an [`Engine`] on the

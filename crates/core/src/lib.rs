@@ -46,7 +46,7 @@ mod rng;
 pub mod seeding;
 pub mod state;
 
-pub use bitsource::{CountingBitSource, RngBitSource};
+pub use bitsource::RngBitSource;
 pub use cpu_parallel::CpuParallelPrng;
 pub use device_baselines::{simulate_curand_device, simulate_mt_batch, DeviceSimResult};
 pub use error::HprngError;

@@ -3,16 +3,14 @@
 //! The paper's FEED is glibc `rand()` on the CPU (§IV-A) — two 31-bit
 //! draws plus a parity draw packed into each 64-bit word. [`BitFeed`]
 //! abstracts that so the pipeline can run from any deterministic word
-//! source: the classic [`GlibcFeed`], a [`SplitMixFeed`], or any
-//! [`RngCore`] generator via [`RngFeed`].
+//! source; [`GlibcFeed`] is the paper's.
 //!
 //! A feed is a *stream*, not a batch API: `fill` must behave as if the
 //! words were drawn one at a time from a stateful sequence, so the stream
 //! consumed is independent of how calls chunk it.
 
 use crate::seeding;
-use hprng_baselines::{GlibcRand, SplitMix64};
-use rand_core::RngCore;
+use hprng_baselines::GlibcRand;
 
 /// A deterministic producer of raw 64-bit words for the FEED stage.
 ///
@@ -85,64 +83,6 @@ impl BitFeed for GlibcFeed {
     }
 }
 
-/// A SplitMix64 feed: one mixer step per word. Faster and better
-/// distributed than glibc — the ablation feed.
-pub struct SplitMixFeed {
-    rng: SplitMix64,
-    seed: u64,
-}
-
-impl SplitMixFeed {
-    /// A feed seeded directly with the 64-bit master seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: SplitMix64::new(seed),
-            seed,
-        }
-    }
-}
-
-impl BitFeed for SplitMixFeed {
-    fn fill(&mut self, buf: &mut [u64]) {
-        for slot in buf.iter_mut() {
-            *slot = self.rng.next();
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "splitmix64"
-    }
-
-    fn master_seed(&self) -> Option<u64> {
-        Some(self.seed)
-    }
-}
-
-/// Adapts any [`RngCore`] generator into a [`BitFeed`], one `next_u64` per
-/// word.
-pub struct RngFeed<R> {
-    rng: R,
-}
-
-impl<R: RngCore + Send + 'static> RngFeed<R> {
-    /// Wraps a generator.
-    pub fn new(rng: R) -> Self {
-        Self { rng }
-    }
-}
-
-impl<R: RngCore + Send + 'static> BitFeed for RngFeed<R> {
-    fn fill(&mut self, buf: &mut [u64]) {
-        for slot in buf.iter_mut() {
-            *slot = self.rng.next_u64();
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "rng-core"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,26 +117,5 @@ mod tests {
         let mut got = vec![0u64; 16];
         GlibcFeed::from_master_seed(7).fill(&mut got);
         assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn rng_feed_wraps_any_rngcore() {
-        let mut direct = SplitMix64::new(5);
-        let mut feed = RngFeed::new(SplitMix64::new(5));
-        let mut buf = vec![0u64; 8];
-        feed.fill(&mut buf);
-        for &w in &buf {
-            assert_eq!(w, direct.next());
-        }
-        assert_eq!(feed.label(), "rng-core");
-    }
-
-    #[test]
-    fn splitmix_feed_matches_reference_stream() {
-        let mut feed = SplitMixFeed::new(0);
-        let mut buf = vec![0u64; 2];
-        feed.fill(&mut buf);
-        assert_eq!(buf[0], 0xE220_A839_7B1D_CDAF);
-        assert_eq!(buf[1], 0x6E78_9E6A_A1B9_65F4);
     }
 }

@@ -6,8 +6,8 @@
 //! batches, and the GPU GENERATEs numbers by walking an expander graph.
 //! This module makes each stage a first-class component:
 //!
-//! * [`BitFeed`] (with [`GlibcFeed`], [`SplitMixFeed`], [`RngFeed`]) — who
-//!   produces the raw words;
+//! * [`BitFeed`] (with the paper's [`GlibcFeed`]) — who produces the raw
+//!   words;
 //! * [`Backend`] (with [`DeviceBackend`], [`CpuBackend`]) — where the
 //!   walks advance and how the work is accounted;
 //! * [`Engine`] — the orchestrator tying them together: it fills each
@@ -23,4 +23,4 @@ pub mod feed;
 
 pub use backend::{init_words_per_thread, Backend, CpuBackend, DeviceBackend};
 pub use engine::{Engine, PipelineStats};
-pub use feed::{BitFeed, GlibcFeed, RngFeed, SplitMixFeed};
+pub use feed::{BitFeed, GlibcFeed};

@@ -2,7 +2,7 @@
 
 use crate::bitsource::RngBitSource;
 use crate::params::WalkParams;
-use hprng_baselines::{GlibcRand, SplitMix64};
+use hprng_baselines::GlibcRand;
 use hprng_expander::bits::{BitSource, TriBitReader};
 use hprng_expander::{Vertex, Walk};
 use rand_core::{impls, Error, RngCore, SeedableRng};
@@ -36,10 +36,8 @@ impl ExpanderWalkRng<RngBitSource<GlibcRand>> {
     /// The paper's configuration: raw bits from glibc `rand()` seeded by
     /// `seed`, warm-up and per-number walk lengths of 64.
     pub fn from_seed_u64(seed: u64) -> Self {
-        // Decorrelate the 32-bit glibc seed from the raw u64.
-        let glibc_seed = SplitMix64::new(seed).next() as u32;
         let mut rng = Self::with_params(
-            RngBitSource::new(GlibcRand::new(glibc_seed)),
+            RngBitSource::new(GlibcRand::new(crate::seeding::feed_seed(seed))),
             WalkParams::default(),
         );
         rng.seed = Some(seed);

@@ -1,12 +1,15 @@
 //! Unified seed derivation for every generator in the crate.
 //!
-//! Both the hybrid pipeline's FEED stage and the CPU-parallel walks derive
-//! 32-bit glibc seeds from one 64-bit master seed. Historically each did it
-//! with its own copy of the SplitMix64 finalizer, which is exactly the kind
-//! of duplication that drifts: a constant typo in one copy silently
-//! decorrelates nothing while appearing to work. This module is the single
-//! source of truth; the exact output sequences are pinned by tests because
-//! golden determinism suites depend on them.
+//! Every glibc-fed generator derives its 32-bit glibc seed from a 64-bit
+//! seed through one function, [`feed_seed`]: the hybrid pipeline's FEED
+//! stage from its master seed, and every on-demand lane — an
+//! [`crate::ExpanderWalkRng::from_seed_u64`] walk, a pool session, a
+//! `CpuParallelPrng` worker — from its [`lane_seed`]. Historically each
+//! caller had its own copy of the SplitMix64 finalizer, which is exactly
+//! the kind of duplication that drifts: a constant typo in one copy
+//! silently decorrelates nothing while appearing to work. This module is
+//! the single source of truth; the exact output sequences are pinned by
+//! tests because golden determinism suites depend on them.
 
 use hprng_baselines::SplitMix64;
 
@@ -20,8 +23,9 @@ pub fn mix64(seed: u64) -> u64 {
     SplitMix64::new(seed).next()
 }
 
-/// The 32-bit glibc `rand()` seed of the hybrid pipeline's FEED stage for a
-/// given master seed.
+/// The 32-bit glibc `rand()` seed for a given 64-bit seed: the hybrid
+/// pipeline's FEED stage under its master seed, and each on-demand lane
+/// under its [`lane_seed`].
 ///
 /// This is the truncation of [`mix64`], matching the original
 /// `SplitSeed::mix` in the pre-refactor `hybrid.rs`.
@@ -30,22 +34,12 @@ pub fn feed_seed(seed: u64) -> u32 {
     mix64(seed) as u32
 }
 
-/// The 32-bit glibc seed of CPU-parallel worker `t` under master `seed`.
-///
-/// Workers are decorrelated even for consecutive master seeds by xoring a
-/// golden-ratio multiple of the worker index into the SplitMix64 state
-/// before mixing — the scheme `CpuParallelPrng` has always used.
-#[inline]
-pub fn worker_seed(seed: u64, t: u64) -> u32 {
-    mix64(seed ^ t.wrapping_mul(GOLDEN_GAMMA)) as u32
-}
-
 /// The 64-bit master seed of on-demand lane `index` under master `seed`.
 ///
 /// This is the per-chunk derivation the photon-migration application has
 /// always used (`seed ^ index · GOLDEN_GAMMA`); the result is fed to
-/// [`crate::ExpanderWalkRng::from_seed_u64`], which mixes it again, so
-/// lanes are decorrelated even for consecutive indices.
+/// [`feed_seed`], which mixes it again, so lanes are decorrelated even for
+/// consecutive indices.
 #[inline]
 pub fn lane_seed(seed: u64, index: u64) -> u64 {
     seed ^ index.wrapping_mul(GOLDEN_GAMMA)
@@ -73,18 +67,27 @@ mod tests {
     }
 
     #[test]
-    fn worker_seed_matches_legacy_cpu_parallel_derivation() {
+    fn cpu_parallel_workers_serve_their_expander_lanes() {
+        use crate::{CpuParallelPrng, ExpanderLanes, SplitOnDemand};
         for seed in [0u64, 5, 9, u64::MAX] {
+            let workers = CpuParallelPrng::try_new(seed, 8).unwrap();
+            let lanes = ExpanderLanes::new(seed);
             for t in 0u64..8 {
-                let mut sm = SplitMix64::new(seed ^ t.wrapping_mul(GOLDEN_GAMMA));
-                assert_eq!(worker_seed(seed, t), sm.next() as u32, "seed {seed} t {t}");
+                let (mut worker, mut lane) = (workers.worker_rng(t), lanes.lane(t));
+                for i in 0..16 {
+                    assert_eq!(
+                        worker.get_next_rand(),
+                        lane.get_next_rand(),
+                        "seed {seed} t {t} word {i}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn worker_seeds_are_decorrelated() {
-        let seeds: Vec<u32> = (0..64).map(|t| worker_seed(7, t)).collect();
+        let seeds: Vec<u32> = (0..64).map(|t| feed_seed(lane_seed(7, t))).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();

@@ -3,7 +3,7 @@
 
 use hprng_baselines::SplitMix64;
 use hprng_core::ondemand::{BitProvider, OnDemandBits, TappedBits};
-use hprng_core::seeding::{lane_seed, mix64, worker_seed};
+use hprng_core::seeding::{feed_seed, lane_seed, mix64};
 use hprng_core::{ScalarRng, StreamState};
 use hprng_expander::WalkState;
 use hprng_telemetry::WordTap;
@@ -45,15 +45,17 @@ impl WordTap for Collect {
     }
 }
 
-/// All 10k CPU-parallel worker seeds under one master are pairwise
-/// distinct. The seeds are 32-bit, so 10k draws sit near the birthday
-/// bound (~1% collision odds for a random function); fixed masters keep
-/// the check deterministic — these exact derivations are what the golden
-/// suites run on.
+/// All 10k lane feed seeds (CPU-parallel workers and pool lanes alike)
+/// under one master are pairwise distinct. The seeds are 32-bit, so 10k
+/// draws sit near the birthday bound (~1% collision odds for a random
+/// function); fixed masters keep the check deterministic — these exact
+/// derivations are what the golden suites run on.
 #[test]
 fn worker_seeds_are_pairwise_distinct_across_10k_lanes() {
     for master in [0u64, 7, 42, 20120521] {
-        let mut seeds: Vec<u32> = (0..10_000).map(|t| worker_seed(master, t)).collect();
+        let mut seeds: Vec<u32> = (0..10_000)
+            .map(|t| feed_seed(lane_seed(master, t)))
+            .collect();
         seeds.sort_unstable();
         let before = seeds.len();
         seeds.dedup();

@@ -13,8 +13,11 @@
 
 /// A producer of raw random 64-bit words.
 ///
-/// Implementations are expected to be cheap: the hybrid pipeline calls
-/// [`BitSource::fill`] from the FEED stage on dedicated CPU workers.
+/// Implementations are expected to be cheap: a scalar walk's
+/// [`TriBitReader`] calls [`BitSource::fill`] inline, on the walking
+/// thread, whenever its buffer runs dry. The multi-lane pipeline engines
+/// in `hprng-core` do not use this trait; each fills its own FEED buffer
+/// inline, batch by batch.
 pub trait BitSource {
     /// Fills `buf` entirely with raw random words.
     fn fill(&mut self, buf: &mut [u64]);
@@ -100,8 +103,9 @@ pub struct TriBitReader<S: BitSource> {
     consumed: u64,
 }
 
-/// Default refill batch, in words. 256 words = 16 KiB of raw bits, matching
-/// the batch granularity the hybrid pipeline uses for PCIe transfers.
+/// Default refill batch, in words: 256 words = 2 KiB of raw bits. This is
+/// the scalar walk's own granularity; a pipeline engine batch is instead
+/// `count × words_per_number` words, sized by the request.
 const DEFAULT_BUF_WORDS: usize = 256;
 
 impl<S: BitSource> TriBitReader<S> {

@@ -6,11 +6,8 @@ use std::sync::Arc;
 
 use hprng_core::{HprngError, OnDemandRng, StreamState};
 use hprng_telemetry::{Stage, WordTap};
-use hprng_transport::{
-    bounded, BlockPool, Disconnect, RecvTimeoutError, RingReceiver, RingSender, ShutdownFlag,
-};
+use hprng_transport::{bounded, BlockPool, Disconnect, RingReceiver, RingSender, ShutdownFlag};
 
-use crate::config::FullPolicy;
 use crate::obs::ShardObs;
 use crate::pool::PoolShared;
 use crate::shard::{Reply, Request, StateReply};
@@ -32,31 +29,19 @@ pub struct PoolClient {
     /// `lane_seed(pool_seed, id)` — the seed the shard-side session is a
     /// pure function of, carried in every checkpoint this client emits.
     lane_seed: u64,
-    policy: FullPolicy,
     tx: RingSender<Request>,
     rx: RingReceiver<Reply>,
-    /// The shard's block arena: drained front blocks and the drained
-    /// replay stash are given back here instead of to the allocator.
+    /// The shard's block arena: drained front blocks are given back here
+    /// instead of to the allocator.
     blocks: Arc<BlockPool>,
     front: Vec<u64>,
     pos: usize,
-    /// Refill requests owed to the shard but not yet enqueued (the ring
-    /// was full under [`FullPolicy::TryFor`]). At most two are ever owed.
-    pending_refills: usize,
-    /// Words copied out by a request that then failed mid-way (a
-    /// [`FullPolicy::TryFor`] stall across a refill boundary). Their
-    /// source block may already be recycled, so they are staged here and
-    /// re-served before the front block — a failed request therefore
-    /// never drops words from the stream. The stash is an arena checkout,
-    /// returned (and thereby capped/shrunk) as soon as it drains, so a
-    /// large failed request cannot pin its peak capacity.
-    replay: Vec<u64>,
-    replay_pos: usize,
     failed: Option<HprngError>,
     /// Words delivered to the consumer. It advances as a request copies
     /// words out, because a failover checkpoints mid-request and must
     /// resume after the words already copied; a failed request rolls it
-    /// back, so words staged for replay are counted once, when re-served.
+    /// back, so [`PoolClient::checkpoint`] sits at the last completed
+    /// request and a resume re-serves the words the failed request copied.
     served: u64,
     /// Requests issued through [`PoolClient::fill_words`], for the
     /// 1-in-N span sampling gate.
@@ -82,7 +67,6 @@ impl PoolClient {
         shard: usize,
         lanes: usize,
         lane_seed: u64,
-        policy: FullPolicy,
         tx: RingSender<Request>,
         rx: RingReceiver<Reply>,
         shared: Arc<PoolShared>,
@@ -93,15 +77,11 @@ impl PoolClient {
             shard,
             lanes,
             lane_seed,
-            policy,
             tx,
             rx,
             blocks: Arc::clone(&shared.arenas[shard]),
             front: Vec::new(),
             pos: 0,
-            pending_refills: 0,
-            replay: Vec::new(),
-            replay_pos: 0,
             failed: None,
             served: 0,
             requests: 0,
@@ -253,13 +233,7 @@ impl PoolClient {
         if front.capacity() > 0 {
             self.blocks.give_back(front);
         }
-        let replay = std::mem::take(&mut self.replay);
-        if replay.capacity() > 0 {
-            self.blocks.give_back(replay);
-        }
         self.pos = 0;
-        self.replay_pos = 0;
-        self.pending_refills = 0;
         self.shard = target;
         self.tx = tx;
         self.rx = reply_rx;
@@ -300,7 +274,7 @@ impl PoolClient {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        if self.replay.is_empty() && self.pos < self.front.len() {
+        if self.pos < self.front.len() {
             let word = self.front[self.pos];
             self.pos += 1;
             self.served += 1;
@@ -319,11 +293,12 @@ impl PoolClient {
     /// stream, so unlike raw sessions a client request can exceed the
     /// session's lane width without [`HprngError::BatchTooLarge`].
     ///
-    /// On `Err`, `out` must be treated as unwritten: no words of the
-    /// stream are consumed by a failed request. Words a
-    /// [`FullPolicy::TryFor`] stall caught mid-request are staged
-    /// internally and re-served by the next request, so retrying after
-    /// [`HprngError::ShardStalled`] resumes the stream without a gap.
+    /// A request returns its lane's words or fails for good: on `Err`,
+    /// `out` must be treated as unwritten and every later request returns
+    /// the same error. A failed request consumes no words of the stream:
+    /// [`PoolClient::checkpoint`] still sits at the last completed
+    /// request, so a client resumed from it re-serves the words the failed
+    /// request copied.
     pub fn fill_words(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
         if out.is_empty() {
             return Err(HprngError::EmptyRequest);
@@ -347,30 +322,6 @@ impl PoolClient {
         let served0 = self.served;
         let mut filled = 0;
         while filled < out.len() {
-            // Words stranded by an earlier failed request come first —
-            // they precede the front block in the stream.
-            if self.replay_pos < self.replay.len() {
-                let take = (out.len() - filled).min(self.replay.len() - self.replay_pos);
-                out[filled..filled + take]
-                    .copy_from_slice(&self.replay[self.replay_pos..self.replay_pos + take]);
-                self.replay_pos += take;
-                filled += take;
-                self.served += take as u64;
-                if let Some(o) = &self.obs {
-                    o.replays.add(1);
-                }
-                if self.replay_pos == self.replay.len() {
-                    // Drained: the stash goes back to the arena, which
-                    // caps and shrinks it, so a peak-sized failed request
-                    // does not retain its capacity here forever.
-                    let stash = std::mem::take(&mut self.replay);
-                    if stash.capacity() > 0 {
-                        self.blocks.give_back(stash);
-                    }
-                    self.replay_pos = 0;
-                }
-                continue;
-            }
             if self.pos < self.front.len() {
                 let take = (out.len() - filled).min(self.front.len() - self.pos);
                 out[filled..filled + take].copy_from_slice(&self.front[self.pos..self.pos + take]);
@@ -388,16 +339,9 @@ impl PoolClient {
                 self.acquire()
             };
             if let Err(e) = acquired {
-                // The words already copied came from blocks that may now
-                // be recycled; stage them so the next request re-serves
-                // them (the caller must treat `out` as unwritten on
-                // error). `replay` is empty here — `acquire` is only
-                // reached once it has drained.
-                if filled > 0 {
-                    let mut stash = self.blocks.checkout();
-                    stash.extend_from_slice(&out[..filled]);
-                    self.replay = stash;
-                }
+                // The caller treats `out` as unwritten, so the words this
+                // request copied were never delivered: roll `served` back
+                // to the last completed request.
                 self.served = served0;
                 return Err(e);
             }
@@ -427,32 +371,29 @@ impl PoolClient {
     /// healthy shard and retries there instead of failing.
     fn acquire(&mut self) -> Result<(), HprngError> {
         loop {
-            // Return the exhausted front to the arena and owe the shard one
+            // Return the exhausted front to the arena and request one
             // refill for it. The initial placeholder (capacity 0; the real
             // blocks start shard-side) is not a block and must not become
             // one. On a failover retry the front is already an empty
-            // placeholder, so nothing is double-returned or double-owed.
+            // placeholder, so nothing is double-returned or re-requested.
             let old = std::mem::take(&mut self.front);
             self.pos = 0;
             if old.capacity() > 0 {
                 self.blocks.give_back(old);
-                self.pending_refills += 1;
+                // A failed send (the shard is gone) is not failed here:
+                // that would skip failover entirely (and drop any
+                // still-buffered replies). The receive below drains what
+                // is left, classifies the disconnect, and reattaches when
+                // failover is enabled — reattachment re-primes the
+                // prefetch, so the refill is never missed.
+                let _ = self.tx.send(Request::Refill {
+                    client: self.id,
+                    enqueued_ns: self.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
+                });
             }
-            self.flush_pending();
-            let received = match self.policy {
-                FullPolicy::Block => self.rx.recv().ok_or(RecvTimeoutError::Disconnected),
-                FullPolicy::TryFor(patience) => self.rx.recv_timeout(patience),
-            };
-            match received {
-                Ok(reply) => return self.install(reply),
-                // The refill stays in flight; the next call retries.
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(o) = &self.obs {
-                        o.stalls.add(1);
-                    }
-                    return Err(HprngError::ShardStalled { shard: self.shard });
-                }
-                Err(RecvTimeoutError::Disconnected) => {
+            match self.rx.recv() {
+                Some(reply) => return self.install(reply),
+                None => {
                     if self.try_failover() {
                         continue;
                     }
@@ -480,33 +421,6 @@ impl PoolClient {
             // A session error (failed attach or a dead session) is
             // permanent for this client; peers are unaffected.
             Err(e) => Err(self.fail(e)),
-        }
-    }
-
-    /// Pushes owed refill requests into the shard's request ring.
-    /// [`FullPolicy::Block`] waits for space; [`FullPolicy::TryFor`]
-    /// leaves what does not fit for the next call.
-    fn flush_pending(&mut self) {
-        while self.pending_refills > 0 {
-            let request = Request::Refill {
-                client: self.id,
-                enqueued_ns: self.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
-            };
-            let sent = match self.policy {
-                FullPolicy::TryFor(_) => self.tx.try_send(request).is_ok(),
-                FullPolicy::Block => self.tx.send(request).is_ok(),
-            };
-            if !sent {
-                // A full ring (`TryFor` only) keeps the rest for the next
-                // call. A vanished shard is not failed here: that would
-                // skip failover entirely (and drop any still-buffered
-                // replies). The receive path drains what is left,
-                // classifies the disconnect, and reattaches when failover
-                // is enabled — reattachment re-primes the prefetch, so
-                // the owed refill is never missed.
-                return;
-            }
-            self.pending_refills -= 1;
         }
     }
 
@@ -540,21 +454,15 @@ impl OnDemandRng for PoolClient {
         self.fill_words(out)
     }
 
-    /// The infallible paper-shaped call. Retryable conditions are
-    /// retried through the configured policy instead of panicking:
-    /// [`HprngError::ShardStalled`] (a [`FullPolicy::TryFor`] patience
-    /// that elapsed with the refill still in flight) re-enters the wait,
-    /// so a slow shard costs latency, never the process. Only genuinely
-    /// unrecoverable stream failures (pool shut down, shard poisoned
-    /// with no failover, session error) panic — callers that need those
-    /// as values use [`PoolClient::try_next_u64`].
+    /// The infallible paper-shaped call. A slow shard costs latency,
+    /// never the process: the request waits for its lane's word. Only
+    /// stream failures (pool shut down, shard poisoned with no failover,
+    /// session error) panic — callers that need those as values use
+    /// [`PoolClient::try_next_u64`].
     fn get_next_rand(&mut self) -> u64 {
-        loop {
-            match self.try_next_u64() {
-                Ok(word) => return word,
-                Err(HprngError::ShardStalled { .. }) => continue,
-                Err(e) => panic!("pool client stream failed irrecoverably: {e}"),
-            }
+        match self.try_next_u64() {
+            Ok(word) => word,
+            Err(e) => panic!("pool client stream failed irrecoverably: {e}"),
         }
     }
 
@@ -592,10 +500,6 @@ impl Drop for PoolClient {
         let front = std::mem::take(&mut self.front);
         if front.capacity() > 0 {
             self.blocks.give_back(front);
-        }
-        let replay = std::mem::take(&mut self.replay);
-        if replay.capacity() > 0 {
-            self.blocks.give_back(replay);
         }
         // Best-effort: free the shard-side session. A dead shard returns
         // an error we ignore; a full queue drains because the worker

@@ -1,8 +1,6 @@
-//! Pool construction: the builder, the backpressure policy, and the
-//! per-client session recipe.
+//! Pool construction: the builder and the per-client session recipe.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use hprng_core::{
     CpuBackend, Engine, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, OnDemandRng,
@@ -14,27 +12,6 @@ use crate::pool::Pool;
 /// amortize a shard round-trip, small enough that the two blocks a client
 /// holds stay cache-friendly.
 pub(crate) const DEFAULT_PREFETCH_WORDS: usize = 1024;
-
-/// What a [`crate::PoolClient`] does when its shard cannot hand back a
-/// refilled prefetch block immediately (the shard's request queue is
-/// full, or the refill has not completed yet).
-///
-/// Both policies serve only the client's own lane stream; they differ in
-/// how long a request may wait for it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FullPolicy {
-    /// Wait for the refill; latency absorbs the backpressure. The
-    /// default.
-    #[default]
-    Block,
-    /// Wait up to the given patience, then fail the request with the
-    /// retryable [`HprngError::ShardStalled`]. The refill stays in flight
-    /// and words a stall caught mid-request are staged client-side and
-    /// re-served by the next request, so retrying resumes the stream
-    /// without a gap. A caller that needs words during a stall serves
-    /// them from its own fallback on `ShardStalled`.
-    TryFor(Duration),
-}
 
 /// A user-supplied session recipe: maps a client's 64-bit lane seed to the
 /// generator that serves its stream inside the shard worker.
@@ -67,8 +44,8 @@ pub enum SessionKind {
         /// configuration (`params.walk`: warm-up and walk lengths).
         params: HybridParams,
     },
-    /// Bring your own generator (used by the stress suite to inject
-    /// panicking and slow sessions). `lanes` is the advertised per-client
+    /// Bring your own generator (the test suites use it to inject
+    /// panicking sessions). `lanes` is the advertised per-client
     /// lane count; the factory receives the client's lane seed. The
     /// sessions the factory builds must report the same
     /// [`OnDemandRng::lanes`] — the shard rejects the attachment with
@@ -130,7 +107,6 @@ pub struct PoolBuilder {
     pub(crate) seed: u64,
     pub(crate) shards: Option<usize>,
     pub(crate) kind: SessionKind,
-    pub(crate) policy: FullPolicy,
     pub(crate) prefetch_words: usize,
     pub(crate) queue_depth: usize,
     pub(crate) trace_sample_every: Option<u64>,
@@ -139,14 +115,13 @@ pub struct PoolBuilder {
 
 impl PoolBuilder {
     /// A builder with the workspace defaults: one shard per available CPU,
-    /// [`SessionKind::ExpanderWalk`] sessions, [`FullPolicy::Block`], a
-    /// 1024-word prefetch and a 32-deep request queue.
+    /// [`SessionKind::ExpanderWalk`] sessions, a 1024-word prefetch and a
+    /// 32-deep request queue.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             shards: None,
             kind: SessionKind::ExpanderWalk,
-            policy: FullPolicy::Block,
             prefetch_words: DEFAULT_PREFETCH_WORDS,
             queue_depth: 32,
             trace_sample_every: None,
@@ -168,12 +143,6 @@ impl PoolBuilder {
         self
     }
 
-    /// The client-side backpressure policy.
-    pub fn full_policy(mut self, policy: FullPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Words per prefetch buffer (each client keeps two in flight). The
     /// shard rounds this up to a multiple of the session's lane count so
     /// chunking never changes the stream.
@@ -182,7 +151,9 @@ impl PoolBuilder {
         self
     }
 
-    /// Bound of each shard's request queue (backpressure depth).
+    /// Bound of each shard's request queue (backpressure depth). A client
+    /// whose shard queue is full, or whose refill has not completed yet,
+    /// blocks until it can be served its own lane's words.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -209,8 +180,8 @@ impl PoolBuilder {
 
     /// Enables request-path observability: per-shard queue-depth and
     /// occupancy gauges, enqueue-wait / service / refill-copy latency
-    /// histograms, stall / replay counters, and client +
-    /// shard-worker spans on a shared epoch, all collected in a
+    /// histograms, a per-shard word counter, and client + shard-worker
+    /// spans on a shared epoch, all collected in a
     /// [`hprng_telemetry::Registry`] reachable via
     /// [`Pool::registry`] / [`Pool::telemetry_snapshot`].
     ///
@@ -283,11 +254,6 @@ mod tests {
             })),
             "session.lanes"
         );
-    }
-
-    #[test]
-    fn default_policy_blocks() {
-        assert_eq!(FullPolicy::default(), FullPolicy::Block);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! (`hprng-transport`): each shard's request queue is a bounded
 //! [`hprng_transport::BlockRing`] (clients clone the sender), prefetch
 //! blocks circulate through a per-shard [`hprng_transport::BlockPool`]
-//! arena instead of the allocator, and [`FullPolicy`] picks what happens
-//! when the shard falls behind: wait ([`FullPolicy::Block`]) or fail fast
-//! with [`hprng_core::HprngError::ShardStalled`]
-//! ([`FullPolicy::TryFor`]). Every word a client serves is its lane's
-//! word under either policy. A worker panic poisons only its own shard
+//! arena instead of the allocator, and a client whose shard falls behind
+//! blocks until its refill arrives. A request returns its lane's words,
+//! fails over to a healthy shard ([`PoolBuilder::failover`]), or fails
+//! for good; it never serves another stream's words and never asks the
+//! caller to retry. A worker panic poisons only its own shard
 //! (the transport [`hprng_transport::PoisonGuard`] discipline, shared
 //! with the pipeline ring); peers keep serving, and [`Pool::stats`]
 //! reports the casualty.
@@ -43,7 +43,7 @@
 //!
 //! Request-path observability is built in: [`PoolBuilder::tracing`]
 //! turns on per-shard queue-depth/occupancy gauges, enqueue-wait /
-//! service / refill-copy latency histograms, stall/replay counters
+//! service / refill-copy latency histograms, per-shard word counters
 //! (under the canonical [`names`]) and 1-in-N sampled client and
 //! shard-worker spans on a shared epoch, all exported through
 //! [`Pool::registry`] / [`Pool::telemetry_snapshot`] to the telemetry
@@ -71,7 +71,7 @@ mod pool;
 mod shard;
 
 pub use client::PoolClient;
-pub use config::{FullPolicy, PoolBuilder, SessionFactory, SessionKind};
+pub use config::{PoolBuilder, SessionFactory, SessionKind};
 pub use obs::names;
 pub use pool::{Pool, PoolStats};
 

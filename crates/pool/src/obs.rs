@@ -76,14 +76,12 @@ pub mod names {
         format!("pool_shard{shard}_refill_copy_ns")
     }
 
-    /// [`FullPolicy::TryFor`](crate::FullPolicy::TryFor) patience
-    /// timeouts observed by shard `shard`'s clients (counter).
+    /// A retired counter name: no pool instrument records it any more.
     pub fn shard_stalls(shard: usize) -> String {
         format!("pool_shard{shard}_stalls_total")
     }
 
-    /// Replay-stash re-serves: requests that re-delivered words a
-    /// failed earlier request had staged (counter).
+    /// A retired counter name: no pool instrument records it any more.
     pub fn shard_replays(shard: usize) -> String {
         format!("pool_shard{shard}_replays_total")
     }
@@ -125,8 +123,6 @@ pub(crate) struct ShardObs {
     pub enqueue_wait_ns: HistogramHandle,
     pub service_ns: HistogramHandle,
     pub refill_copy_ns: HistogramHandle,
-    pub stalls: Counter,
-    pub replays: Counter,
     pub words: Counter,
 }
 
@@ -140,8 +136,6 @@ impl ShardObs {
             enqueue_wait_ns: registry.histogram(&names::shard_enqueue_wait_ns(shard)),
             service_ns: registry.histogram(&names::shard_service_ns(shard)),
             refill_copy_ns: registry.histogram(&names::shard_refill_copy_ns(shard)),
-            stalls: registry.counter(&names::shard_stalls(shard)),
-            replays: registry.counter(&names::shard_replays(shard)),
             words: registry.counter(&names::shard_words(shard)),
         }
     }

@@ -13,7 +13,7 @@ use hprng_transport::{
 };
 
 use crate::client::PoolClient;
-use crate::config::{FullPolicy, PoolBuilder, SessionKind};
+use crate::config::{PoolBuilder, SessionKind};
 use crate::obs::{names, PoolObs};
 use crate::shard::{self, Reply, Request, ShardMetrics};
 
@@ -139,7 +139,6 @@ pub struct Pool {
     next_id: AtomicU64,
     seed: u64,
     kind: SessionKind,
-    policy: FullPolicy,
     prefetch_words: usize,
     failover: bool,
 }
@@ -215,7 +214,6 @@ impl Pool {
             next_id: AtomicU64::new(0),
             seed: builder.seed,
             kind: builder.kind,
-            policy: builder.policy,
             prefetch_words: builder.prefetch_words,
             failover: builder.failover,
         }
@@ -390,7 +388,6 @@ impl Pool {
             shard,
             self.kind.lanes().max(1),
             hprng_core::seeding::lane_seed(self.seed, id),
-            self.policy,
             tx,
             reply_rx,
             Arc::clone(&self.shared),
@@ -470,7 +467,7 @@ impl Pool {
 
     /// The tracing registry, when [`PoolBuilder::tracing`] enabled
     /// request-path observability — per-shard queue gauges, phase
-    /// latency histograms, stall/replay counters, and sampled
+    /// latency histograms, per-shard word counters, and sampled
     /// client/worker spans all live here. Cloning shares the
     /// instruments; [`hprng_telemetry::Registry::snapshot`] is cheap
     /// enough to call per dashboard frame.
@@ -530,7 +527,6 @@ impl std::fmt::Debug for Pool {
             .field("seed", &self.seed)
             .field("shards", &self.shared.txs.len())
             .field("kind", &self.kind)
-            .field("policy", &self.policy)
             .field("prefetch_words", &self.prefetch_words)
             .field("failover", &self.failover)
             .finish_non_exhaustive()

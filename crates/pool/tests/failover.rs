@@ -451,6 +451,51 @@ fn failover_stays_opt_in() {
     pool.shutdown();
 }
 
+/// A request that fails mid-copy consumes nothing: the client's
+/// checkpoint stays at the last completed request, so a client resumed
+/// from it re-serves the words the failed request had already copied.
+#[test]
+fn a_failed_request_leaves_the_checkpoint_at_the_last_completed_one() {
+    const SEED: u64 = 1;
+    const VICTIM: u64 = 1; // home shard 1 of 2
+    const DONE: usize = 5;
+    let golden = golden_expander(SEED, VICTIM, DONE + 64);
+    // Admission primes two 8-word blocks (16 one-word batches); the fuse
+    // lets exactly those through, so the refill asked for once the first
+    // block drains kills the worker.
+    let pool = Pool::builder(SEED)
+        .shards(2)
+        .prefetch_words(8)
+        .session(panic_once_kind(SEED, VICTIM, 16))
+        .build()
+        .unwrap();
+    let mut client = pool.try_client_with_id(VICTIM).unwrap();
+    let mut done = [0u64; DONE];
+    client.fill_words(&mut done).unwrap();
+    assert_eq!(done, golden[..DONE]);
+    // Copies the rest of the first block and all of the second, then
+    // finds the shard dead.
+    let mut buf = [0u64; 64];
+    assert!(matches!(
+        client.fill_words(&mut buf),
+        Err(HprngError::ShardPoisoned { shard: 1 })
+    ));
+    let state = client.checkpoint();
+    assert_eq!(state.session_words, DONE as u64);
+    drop(client);
+    pool.shutdown();
+
+    let healthy = Pool::builder(SEED)
+        .shards(2)
+        .prefetch_words(8)
+        .build()
+        .unwrap();
+    let mut resumed = healthy.try_client_resumed(&state).unwrap();
+    assert_eq!(drain_ragged(&mut resumed, 64), &golden[DONE..]);
+    drop(resumed);
+    healthy.shutdown();
+}
+
 /// The worker-side checkpoint protocol: `Request::Checkpoint` answers
 /// with the session's rich state at its *produced* position, which — fed
 /// through JSON and a standalone [`ExpanderWalkRng::resume`] — continues

@@ -1,47 +1,11 @@
 //! Acceptance suite for pool request-path observability: a traced pool
 //! run must export a Chrome trace holding both client request spans and
 //! shard worker spans on one shared epoch, and a Prometheus snapshot
-//! covering queue depth, the three phase histograms, and the
-//! stall/replay outcome counters per shard.
+//! covering queue depth, the three phase histograms, and the word
+//! counter per shard.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use hprng_core::{ExpanderWalkRng, HprngError, OnDemandRng};
-use hprng_pool::{names, FullPolicy, Pool, SessionKind};
+use hprng_pool::{names, Pool};
 use hprng_telemetry::{chrome_trace, prometheus, Stage};
-
-/// A session whose every refill takes `delay` — the stall probe.
-fn slow_kind(delay: Duration) -> SessionKind {
-    SessionKind::Custom {
-        lanes: 1,
-        factory: Arc::new(move |seed| {
-            struct Slow {
-                inner: ExpanderWalkRng,
-                delay: Duration,
-            }
-            impl OnDemandRng for Slow {
-                fn label(&self) -> &'static str {
-                    "slow"
-                }
-                fn lanes(&self) -> usize {
-                    1
-                }
-                fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
-                    std::thread::sleep(self.delay);
-                    self.inner.try_next_batch_into(out)
-                }
-                fn words_served(&self) -> u64 {
-                    self.inner.words_served()
-                }
-            }
-            Box::new(Slow {
-                inner: ExpanderWalkRng::from_seed_u64(seed),
-                delay,
-            })
-        }),
-    }
-}
 
 #[test]
 fn traced_run_exports_client_and_shard_spans_on_a_shared_epoch() {
@@ -138,18 +102,7 @@ fn prometheus_snapshot_covers_queue_phase_and_outcome_instruments() {
             let count = exp.value(&format!("{}_count", metric(&hist)));
             assert!(count.is_some(), "missing histogram {hist}");
         }
-        for counter in [
-            names::shard_stalls(shard),
-            names::shard_replays(shard),
-            names::shard_words(shard),
-        ] {
-            assert!(
-                exp.value(&metric(&counter)).is_some(),
-                "missing counter {counter}"
-            );
-        }
-        // A healthy blocking run serves words and never stalls.
-        assert_eq!(exp.value(&metric(&names::shard_stalls(shard))), Some(0.0));
+        // A healthy blocking run serves words.
         assert!(exp.value(&metric(&names::shard_words(shard))).unwrap() > 0.0);
     }
     // Refills actually flowed through both phase histograms.
@@ -167,45 +120,6 @@ fn prometheus_snapshot_covers_queue_phase_and_outcome_instruments() {
     assert!(exp.value(&metric(names::POOL_WORDS)).unwrap() > 0.0);
     assert_eq!(exp.value(&metric(names::POOL_ERRORS)), Some(0.0));
     assert!(exp.value(&metric(names::POOL_SHARDS)).unwrap() == shards as f64);
-}
-
-#[test]
-fn stalls_and_replays_are_counted_per_shard() {
-    let pool = Pool::builder(8)
-        .shards(1)
-        .prefetch_words(4)
-        .session(slow_kind(Duration::from_millis(30)))
-        .full_policy(FullPolicy::TryFor(Duration::from_millis(1)))
-        .tracing(64)
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let mut got = 0usize;
-    let mut stalls = 0u64;
-    // 7-word requests against a 4-word prefetch force mid-request
-    // stalls, which stage words and replay them on the retry.
-    while got < 20 {
-        let mut buf = [0u64; 7];
-        match client.fill_words(&mut buf) {
-            Ok(()) => got += buf.len(),
-            Err(HprngError::ShardStalled { shard: 0 }) => stalls += 1,
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-    assert!(stalls > 0, "1ms patience against 30ms refills must stall");
-    let registry = pool.registry().unwrap();
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter(&names::shard_stalls(0)),
-        stalls as f64,
-        "every observed ShardStalled must be counted"
-    );
-    assert!(
-        snap.counter(&names::shard_replays(0)) >= 1.0,
-        "mid-request stalls must produce replay re-serves"
-    );
-    // Accounting stays exact through stalls and replays.
-    assert_eq!(client.words_served(), got as u64);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Stress and correctness suite for the sharded pool: golden bit-identity
 //! against single-lane references, shutdown under load, poisoned-shard
-//! isolation, and backpressure policy behaviour.
+//! isolation, and failover of blocked clients.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use hprng_core::{
     CpuBackend, Engine, ExpanderLanes, ExpanderWalkRng, GlibcFeed, HprngError, HybridParams,
     OnDemandRng,
 };
-use hprng_pool::{FullPolicy, Pool, SessionKind};
+use hprng_pool::{Pool, SessionKind};
 
 /// The single-lane reference stream for client `id` of a pool over `seed`
 /// with [`SessionKind::ExpanderWalk`] sessions.
@@ -420,7 +420,6 @@ fn blocking_clients_fail_over_when_the_shard_dies_with_a_refill_owed() {
         .shards(2)
         .prefetch_words(4)
         .session(one_shot_panicking_kind(4, 3, armed))
-        .full_policy(FullPolicy::Block)
         .failover(true)
         .build()
         .unwrap();
@@ -434,131 +433,6 @@ fn blocking_clients_fail_over_when_the_shard_dies_with_a_refill_owed() {
         got,
         golden_expander(1, 3, 400),
         "failed-over stream diverged from its golden"
-    );
-}
-
-#[test]
-fn get_next_rand_retries_stalls_instead_of_panicking() {
-    // The infallible RngCore-style facade sits on top of a fallible
-    // serving path; under TryFor every refill slower than the patience
-    // surfaces ShardStalled. The regression: `get_next_rand` treated
-    // *every* error as fatal and panicked on the first stall. It must
-    // retry stalls (they serve nothing, so the stream stays gapless) and
-    // reserve the panic for unrecoverable failures.
-    let pool = Pool::builder(8)
-        .shards(1)
-        .prefetch_words(4)
-        .session(slow_kind(Duration::from_millis(30)))
-        .full_policy(FullPolicy::TryFor(Duration::from_millis(1)))
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let got: Vec<u64> = (0..12)
-        .map(|_| OnDemandRng::get_next_rand(&mut client))
-        .collect();
-    assert_eq!(
-        got,
-        golden_expander(8, 0, 12),
-        "retried stalls must not drop or reorder words"
-    );
-}
-
-/// A session whose every refill takes `delay` — the stall probe.
-fn slow_kind(delay: Duration) -> SessionKind {
-    SessionKind::Custom {
-        lanes: 1,
-        factory: Arc::new(move |seed| {
-            struct Slow {
-                inner: ExpanderWalkRng,
-                delay: Duration,
-            }
-            impl OnDemandRng for Slow {
-                fn label(&self) -> &'static str {
-                    "slow"
-                }
-                fn lanes(&self) -> usize {
-                    1
-                }
-                fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
-                    std::thread::sleep(self.delay);
-                    self.inner.try_next_batch_into(out)
-                }
-                fn words_served(&self) -> u64 {
-                    self.inner.words_served()
-                }
-            }
-            Box::new(Slow {
-                inner: ExpanderWalkRng::from_seed_u64(seed),
-                delay,
-            })
-        }),
-    }
-}
-
-#[test]
-fn try_for_reports_stalls_and_recovers_without_losing_words() {
-    let pool = Pool::builder(8)
-        .shards(1)
-        .prefetch_words(4)
-        .session(slow_kind(Duration::from_millis(30)))
-        .full_policy(FullPolicy::TryFor(Duration::from_millis(1)))
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let mut stalls = 0u64;
-    let mut got = Vec::new();
-    while got.len() < 12 {
-        match client.try_next_u64() {
-            Ok(w) => got.push(w),
-            Err(HprngError::ShardStalled { shard: 0 }) => stalls += 1,
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-    assert!(stalls > 0, "a 1ms patience against 30ms refills must stall");
-    // Stalled requests served nothing, so the stream has no gaps.
-    assert_eq!(got, golden_expander(8, 0, 12));
-}
-
-#[test]
-fn try_for_multi_word_fills_spanning_refills_lose_no_words() {
-    // Multi-word requests larger than the prefetch buffer force every
-    // request across a refill boundary, so TryFor stalls land *mid-copy*:
-    // some words are already in the caller's buffer when the acquire
-    // times out. The failed request must stage those words and re-serve
-    // them on retry — the regression here permanently dropped them.
-    let pool = Pool::builder(8)
-        .shards(1)
-        .prefetch_words(4)
-        .session(slow_kind(Duration::from_millis(30)))
-        .full_policy(FullPolicy::TryFor(Duration::from_millis(1)))
-        .build()
-        .unwrap();
-    let mut client = pool.try_client_with_id(0).unwrap();
-    let mut stalls = 0u64;
-    let mut got = Vec::new();
-    let sizes = [5usize, 7, 3, 13, 6, 9];
-    let mut s = 0;
-    while got.len() < 40 {
-        let take = sizes[s % sizes.len()];
-        s += 1;
-        let mut buf = vec![0u64; take];
-        loop {
-            match client.fill_words(&mut buf) {
-                Ok(()) => break,
-                Err(HprngError::ShardStalled { shard: 0 }) => stalls += 1,
-                Err(other) => panic!("unexpected error {other:?}"),
-            }
-        }
-        got.extend_from_slice(&buf);
-    }
-    assert!(
-        stalls > 0,
-        "a 1ms patience against 30ms refills must stall mid-request"
-    );
-    let want = golden_expander(8, 0, got.len());
-    assert_eq!(
-        got, want,
-        "stalled multi-word fills dropped or reordered words"
     );
 }
 

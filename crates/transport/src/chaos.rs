@@ -32,11 +32,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultPoint {
-    /// Entry of [`crate::RingSender::send`] / `try_send`, before the ring
-    /// lock is taken. Stalling here models a slow producer-side hand-off.
+    /// Entry of [`crate::RingSender::send`], before the ring lock is
+    /// taken. Stalling here models a slow producer-side hand-off.
     RingSend,
-    /// Entry of [`crate::RingReceiver::recv`] / `recv_timeout`, before
-    /// the ring lock is taken. Stalling here models a slow consumer.
+    /// Entry of [`crate::RingReceiver::recv`], before the ring lock is
+    /// taken. Stalling here models a slow consumer.
     RingRecv,
     /// [`crate::BlockPool::checkout`], before the free list is consulted.
     /// [`FaultAction::Deny`] forces the allocator path — the arena

@@ -11,10 +11,10 @@
 //!
 //! * [`ring`] — [`BlockRing`]: a bounded blocking MPSC ring generalizing
 //!   the paper's two-slot PCIe double buffer.
-//!   Backpressure by blocking (or [`RingSender::try_send`] /
-//!   [`RingReceiver::recv_timeout`] for the impatient), clean shutdown on
-//!   drop from either side, optional transport-level queue-depth
-//!   instrumentation ([`RingInstruments`]).
+//!   Backpressure by blocking [`RingSender::send`] and
+//!   [`RingReceiver::recv`], clean shutdown on drop from either side,
+//!   optional transport-level queue-depth instrumentation
+//!   ([`RingInstruments`]).
 //! * [`arena`] — [`BlockPool`]: a recycled-buffer arena for `Vec<u64>`
 //!   blocks. Steady-state checkout/return is allocation-free, returned
 //!   blocks are cleared (so [`BlockPool::checkout_zeroed`] can promise
@@ -47,7 +47,6 @@ pub mod shutdown;
 
 pub use arena::{ArenaStats, BlockPool};
 pub use ring::{
-    bounded, bounded_instrumented, BlockRing, RecvTimeoutError, RingInstruments, RingReceiver,
-    RingSender, SendError, TrySendError,
+    bounded, bounded_instrumented, BlockRing, RingInstruments, RingReceiver, RingSender, SendError,
 };
 pub use shutdown::{Disconnect, PoisonFlag, PoisonGuard, ShutdownFlag};

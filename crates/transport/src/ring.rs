@@ -10,8 +10,7 @@
 //!
 //! * **backpressure**: [`RingSender::send`] blocks while every slot is
 //!   occupied, so producers can run at most `capacity` blocks ahead
-//!   (bounded memory, just like the real double buffer);
-//!   [`RingSender::try_send`] refuses instead of blocking.
+//!   (bounded memory, just like the real double buffer).
 //! * **clean shutdown**: dropping either half wakes the other. A producer
 //!   whose consumer went away gets its value back as [`SendError`]; a
 //!   consumer whose producers all exited (including by panic, which
@@ -28,7 +27,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 use hprng_telemetry::Gauge;
 
@@ -36,26 +34,6 @@ use hprng_telemetry::Gauge;
 /// consumer was dropped.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
-
-/// Why a [`RingSender::try_send`] refused, carrying the undelivered
-/// value.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// Every slot is occupied; a blocking send would wait.
-    Full(T),
-    /// The consumer is gone; no send can ever succeed again.
-    Disconnected(T),
-}
-
-/// Why a [`RingReceiver::recv_timeout`] returned nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The patience elapsed with producers still alive; the block may
-    /// still arrive — retrying resumes the wait.
-    Timeout,
-    /// Every producer is gone and the ring is drained.
-    Disconnected,
-}
 
 /// Transport-level queue instruments: exact depth and occupancy gauges
 /// updated inside the ring lock on every send and receive.
@@ -196,30 +174,6 @@ impl<T> RingSender<T> {
         self.ring.not_empty.notify_one();
         Ok(())
     }
-
-    /// Delivers one block only if a slot is free right now; never blocks.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        #[cfg(feature = "chaos")]
-        crate::chaos::act(crate::chaos::FaultPoint::RingSend);
-        let mut inner = lock(&self.ring);
-        if !inner.consumer_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if inner.slots.len() == inner.capacity {
-            return Err(TrySendError::Full(value));
-        }
-        inner.slots.push_back(value);
-        self.ring.record_depth(&inner);
-        drop(inner);
-        self.ring.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking probe: `true` if a send would currently block.
-    pub fn is_full(&self) -> bool {
-        let inner = lock(&self.ring);
-        inner.slots.len() == inner.capacity
-    }
 }
 
 impl<T> Clone for RingSender<T> {
@@ -246,39 +200,9 @@ impl<T> RingReceiver<T> {
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        self.take(&mut inner)
-    }
-
-    /// Takes the oldest block, waiting up to `patience` for one to
-    /// arrive. On [`RecvTimeoutError::Timeout`] the stream is intact —
-    /// calling again resumes the wait for the same in-flight block.
-    pub fn recv_timeout(&self, patience: Duration) -> Result<T, RecvTimeoutError> {
-        #[cfg(feature = "chaos")]
-        crate::chaos::act(crate::chaos::FaultPoint::RingRecv);
-        let deadline = Instant::now() + patience;
-        let mut inner = lock(&self.ring);
-        while inner.slots.is_empty() && inner.producers > 0 {
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            inner = self
-                .ring
-                .not_empty
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        self.take(&mut inner).ok_or(RecvTimeoutError::Disconnected)
-    }
-
-    fn take(&self, inner: &mut MutexGuard<'_, Inner<T>>) -> Option<T> {
         let value = inner.slots.pop_front();
         if value.is_some() {
-            self.ring.record_depth(inner);
+            self.ring.record_depth(&inner);
             self.ring.not_full.notify_one();
         }
         value
@@ -329,6 +253,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn delivers_in_order() {
@@ -350,7 +275,6 @@ mod tests {
         let (tx, rx) = bounded::<u64>(2);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert!(tx.is_full());
         let progressed = Arc::new(AtomicUsize::new(0));
         let flag = Arc::clone(&progressed);
         let producer = thread::spawn(move || {
@@ -368,33 +292,6 @@ mod tests {
         assert_eq!(progressed.load(Ordering::SeqCst), 1);
         assert_eq!(rx.recv(), Some(2));
         assert_eq!(rx.recv(), Some(3));
-    }
-
-    #[test]
-    fn try_send_refuses_instead_of_blocking() {
-        let (tx, rx) = bounded::<u64>(1);
-        tx.try_send(1).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Some(1));
-        tx.try_send(3).unwrap();
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_recovers() {
-        let (tx, rx) = bounded::<u64>(2);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the [`BlockPool`] arena's load-bearing invariants
 //! under interleaved checkouts — the access pattern of a pool client
-//! cycling its front/back prefetch buffers and replay stash against the
-//! shard worker's refill checkouts.
+//! cycling its front/back prefetch buffers against the shard worker's
+//! refill checkouts.
 //!
 //! The two promises the serving path depends on:
 //!

@@ -35,12 +35,12 @@
 //!   session via [`HybridSession::set_tap`].
 //! * [`pool`] — the serving layer: a sharded on-demand randomness
 //!   [`Pool`] whose [`PoolClient`] handles hand bit-reproducible lanes to
-//!   any number of concurrent consumers, with [`FullPolicy`] backpressure.
+//!   any number of concurrent consumers, with blocking backpressure.
 //!
 //! The most common types are also re-exported flat at the crate root:
 //! [`ExpanderWalkRng`], [`HybridPrng`], [`HybridSession`], [`HprngError`],
 //! the [`WalkParams`]/[`HybridParams`]/[`DeviceConfig`] builders, the
-//! pool's [`Pool`]/[`PoolClient`]/[`FullPolicy`]/[`SessionKind`], the
+//! pool's [`Pool`]/[`PoolClient`]/[`SessionKind`], the
 //! checkpoint value [`StreamState`], the telemetry [`Recorder`], and the
 //! monitor's [`MonitorConfig`]/[`MonitorHandle`]/[`AlertSink`].
 //! Applications that prefer a single import can
@@ -147,7 +147,7 @@ pub use hprng_gpu_sim::{ConfigError, DeviceConfig, DeviceConfigBuilder};
 pub use hprng_monitor::{
     Alert, AlertSink, MonitorConfig, MonitorHandle, MonitorStatus, QualityMonitor,
 };
-pub use hprng_pool::{FullPolicy, Pool, PoolBuilder, PoolClient, PoolStats, SessionKind};
+pub use hprng_pool::{Pool, PoolBuilder, PoolClient, PoolStats, SessionKind};
 pub use hprng_telemetry::{Counter, Gauge, HistogramHandle, Recorder, Registry, Stage, WordTap};
 
 /// The facade-wide error hierarchy.
@@ -226,7 +226,7 @@ pub mod prelude {
     };
     pub use hprng_gpu_sim::DeviceConfig;
     pub use hprng_monitor::{AlertSink, MonitorConfig, MonitorHandle};
-    pub use hprng_pool::{FullPolicy, Pool, PoolBuilder, PoolClient, PoolStats, SessionKind};
+    pub use hprng_pool::{Pool, PoolBuilder, PoolClient, PoolStats, SessionKind};
     pub use hprng_telemetry::{Recorder, Registry, WordTap};
     pub use rand_core::{RngCore, SeedableRng};
 }
