@@ -8,7 +8,7 @@
 
 use hprng_baselines::{Kiss, Mt19937, Mt19937_64, Mwc64, SplitMix64, Xorwow};
 use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{CpuParallelPrng, ExpanderWalkRng, GlibcFeed, HybridPrng};
+use hprng_core::{ExpanderLanes, ExpanderWalkRng, GlibcFeed, HybridPrng};
 use hprng_gpu_sim::{Device, DeviceConfig};
 use hprng_monitor::{MonitorConfig, MonitorHandle};
 use hprng_telemetry::{busy_fractions, chrome_trace, json, Recorder, Stage};
@@ -171,9 +171,8 @@ fn listrank_row<B: Backend>(
 /// Benchmarks both applications over the unified on-demand contract:
 /// list ranking on both engine backends (the ranks hash is reported so
 /// regression dashboards can assert the backends agree bit for bit),
-/// photon migration across lane families.
+/// photon migration over [`ExpanderLanes`].
 pub fn apps_bench(seed: u64) -> json::Value {
-    use hprng_core::ExpanderLanes;
     use hprng_listrank::LinkedList;
     use hprng_montecarlo::{run_simulation_on, RandomSupply, SimConfig, Tissue};
 
@@ -202,34 +201,20 @@ pub fn apps_bench(seed: u64) -> json::Value {
         chunk_size: 1024,
         grid: None,
     };
-    let photons = 20_000;
-    let mut montecarlo_rows = Vec::new();
-    let mut mc_entry = |label: &str, out: hprng_montecarlo::SimOutput| {
-        let mut entry = json::Value::object();
-        entry.set("app", json::Value::String("montecarlo".to_string()));
-        entry.set("lanes", json::Value::String(label.to_string()));
-        entry.set(
-            "photons_per_s",
-            json::Value::Number(out.photons as f64 / (out.wall_ns / 1e9).max(1e-12)),
-        );
-        entry.set("randoms_used", json::Value::Number(out.randoms_used as f64));
-        entry.set("clashes", json::Value::Number(out.clashes as f64));
-        montecarlo_rows.push(entry);
-    };
-    let expander_lanes = ExpanderLanes::new(seed);
-    mc_entry(
-        "expander-lanes",
-        run_simulation_on(&tissue, photons, &cfg, &expander_lanes),
+    let out = run_simulation_on(&tissue, 20_000, &cfg, &ExpanderLanes::new(seed));
+    let mut montecarlo = json::Value::object();
+    montecarlo.set("app", json::Value::String("montecarlo".to_string()));
+    montecarlo.set("lanes", json::Value::String("expander-lanes".to_string()));
+    montecarlo.set(
+        "photons_per_s",
+        json::Value::Number(out.photons as f64 / (out.wall_ns / 1e9).max(1e-12)),
     );
-    let cpu_lanes = CpuParallelPrng::try_new(seed, 4).expect("four lanes");
-    mc_entry(
-        "cpu-parallel",
-        run_simulation_on(&tissue, photons, &cfg, &cpu_lanes),
-    );
+    montecarlo.set("randoms_used", json::Value::Number(out.randoms_used as f64));
+    montecarlo.set("clashes", json::Value::Number(out.clashes as f64));
 
     let mut obj = json::Value::object();
     obj.set("listrank", json::Value::Array(listrank_rows));
-    obj.set("montecarlo", json::Value::Array(montecarlo_rows));
+    obj.set("montecarlo", json::Value::Array(vec![montecarlo]));
     obj
 }
 
@@ -718,13 +703,16 @@ pub fn bench_json(seed: u64, words: usize) -> json::Value {
     push("kiss", words_per_s(|| kiss.next_u64(), words));
     let mut xw = Xorwow::new(seed);
     push("xorwow", words_per_s(|| xw.next_u64(), words));
-    let cpu = CpuParallelPrng::per_cpu(seed);
+    let cpu = ExpanderLanes::new(seed);
     push("cpu_parallel", {
         let start = Instant::now();
         let mut produced = 0usize;
         while produced < words {
             let take = (words - produced).min(65_536);
-            std::hint::black_box(cpu.generate(take));
+            let mut out = vec![0u64; take];
+            cpu.fill(&mut out, rayon::current_num_threads())
+                .expect("rayon runs at least one thread");
+            std::hint::black_box(out);
             produced += take;
         }
         words as f64 / start.elapsed().as_secs_f64().max(1e-12)
@@ -871,7 +859,7 @@ mod tests {
             "rank hashes diverge across the sweep: {hashes:?}"
         );
         let mc = doc.get("montecarlo").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(mc.len(), 2);
+        assert_eq!(mc.len(), 1);
         for row in mc {
             assert!(row.get("photons_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0);
         }

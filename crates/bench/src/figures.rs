@@ -6,7 +6,8 @@ use crate::simsupport::{
 };
 use crate::{ms, print_table};
 use hprng_core::{
-    simulate_curand_device, simulate_mt_batch, CostModel, CpuParallelPrng, HybridParams, HybridPrng,
+    simulate_curand_device, simulate_mt_batch, CostModel, ExpanderLanes, HybridParams, HybridPrng,
+    SplitOnDemand,
 };
 use hprng_gpu_sim::DeviceConfig;
 use hprng_listrank::hybrid::{rank_list, RandomnessStrategy};
@@ -182,20 +183,21 @@ pub struct Fig6Row {
 pub fn fig6(sizes: &[usize], seed: u64) -> Vec<Fig6Row> {
     let cores = rayon::current_num_threads();
     let measured_parallel = cores >= MODELED_CPU_CORES;
+    let lanes = ExpanderLanes::new(seed);
     sizes
         .iter()
         .map(|&n| {
             let hybrid_cpu_ns = if measured_parallel {
-                let gen = CpuParallelPrng::try_new(seed, MODELED_CPU_CORES)
-                    .expect("a positive core count");
                 let t0 = Instant::now();
-                let out = gen.generate(n);
+                let mut out = vec![0u64; n];
+                lanes
+                    .fill(&mut out, MODELED_CPU_CORES)
+                    .expect("a positive core count");
                 std::hint::black_box(&out);
                 t0.elapsed().as_nanos() as f64
             } else {
                 // Measure one walk; scale by the modeled core count.
-                let gen = CpuParallelPrng::try_new(seed, 1).expect("one walk");
-                let mut rng = gen.worker_rng(0);
+                let mut rng = lanes.lane(0);
                 let t0 = Instant::now();
                 let mut acc = 0u64;
                 for _ in 0..n {

@@ -8,8 +8,9 @@
 //!   generator. One instance per thread gives the paper's thread-safety
 //!   model on any host ("each thread performing the walk is essentially
 //!   executing independent of other threads").
-//! * [`CpuParallelPrng`] — the "our generator on a multicore CPU" variant of
-//!   §IV-A/Figure 6: a pool of independent walks driven by host threads.
+//! * [`ExpanderLanes`] — one such walk per lane index. Its
+//!   [`ExpanderLanes::fill`] is the "our generator on a multicore CPU"
+//!   variant of §IV-A/Figure 6: one walk per rayon chunk of the output.
 //! * [`HybridPrng`] — the full pipeline of Algorithms 1 and 2 on the
 //!   simulated device: CPU FEED workers produce raw bits with glibc
 //!   `rand()`, asynchronous PCIe TRANSFERs ship them over, and the GENERATE
@@ -34,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod bitsource;
-mod cpu_parallel;
 mod device_baselines;
 pub mod dist;
 mod error;
@@ -47,7 +47,6 @@ pub mod seeding;
 pub mod state;
 
 pub use bitsource::RngBitSource;
-pub use cpu_parallel::CpuParallelPrng;
 pub use device_baselines::{simulate_curand_device, simulate_mt_batch, DeviceSimResult};
 pub use error::HprngError;
 pub use hybrid::{HybridPrng, HybridSession, PipelineStats};

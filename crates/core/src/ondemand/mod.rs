@@ -16,12 +16,14 @@
 //!
 //! Parallel consumers that seed one independent lane per work item (the
 //! photon-migration pattern) use [`SplitOnDemand`] instead, which hands
-//! out `Send` lanes keyed by an index: [`ExpanderLanes`] and
-//! [`crate::CpuParallelPrng`] (lane `t` is worker `t`'s walk).
+//! out `Send` lanes keyed by an index. [`ExpanderLanes`] is the
+//! workspace's lane family; its [`ExpanderLanes::fill`] is the multicore
+//! CPU variant of §IV-A, one lane per rayon chunk.
 
 use crate::error::HprngError;
 use hprng_telemetry::WordTap;
 use rand_core::RngCore;
+use rayon::prelude::*;
 
 mod bits;
 
@@ -284,6 +286,35 @@ impl ExpanderLanes {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+
+    /// Fills `out` from `lanes` walks in parallel: the "our generator on a
+    /// multicore CPU" variant of §IV-A (Figure 6), where each core runs
+    /// its own walk. `out` splits into contiguous chunks of
+    /// `out.len().div_ceil(lanes)` words, chunk `t` holds the first words
+    /// of [`lane(t)`](SplitOnDemand::lane), and rayon fills the chunks
+    /// concurrently, so the result depends on `(seed, lanes, out.len())`
+    /// alone. Pass `rayon::current_num_threads()` for one walk per CPU.
+    ///
+    /// Fails with [`HprngError::InvalidParam`] when `lanes` is zero.
+    pub fn fill(&self, out: &mut [u64], lanes: usize) -> Result<(), HprngError> {
+        if lanes == 0 {
+            return Err(HprngError::InvalidParam {
+                field: "lanes",
+                reason: "must be positive (pass rayon::current_num_threads() for one walk per CPU)",
+            });
+        }
+        if out.is_empty() {
+            return Ok(());
+        }
+        let chunk = out.len().div_ceil(lanes);
+        out.par_chunks_mut(chunk).enumerate().for_each(|(t, span)| {
+            let mut lane = self.lane(t as u64);
+            for slot in span {
+                *slot = lane.get_next_rand();
+            }
+        });
+        Ok(())
+    }
 }
 
 impl SplitOnDemand for ExpanderLanes {
@@ -362,12 +393,43 @@ mod tests {
     }
 
     #[test]
+    fn fill_is_deterministic() {
+        let lanes = ExpanderLanes::new(5);
+        let (mut a, mut b) = (vec![0u64; 10_000], vec![0u64; 10_000]);
+        lanes.fill(&mut a, 4).unwrap();
+        lanes.fill(&mut b, 4).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fill_rejects_zero_lanes() {
+        let err = ExpanderLanes::new(1).fill(&mut [0u64; 4], 0).unwrap_err();
+        assert!(matches!(
+            err,
+            HprngError::InvalidParam { field: "lanes", .. }
+        ));
+    }
+
+    #[test]
+    fn fill_handles_empty_and_shorter_than_lanes_outputs() {
+        let lanes = ExpanderLanes::new(1);
+        lanes.fill(&mut [], 8).unwrap();
+        // Three words over eight lanes: one word from each of lanes 0..3.
+        let mut out = [0u64; 3];
+        lanes.fill(&mut out, 8).unwrap();
+        for (t, &word) in out.iter().enumerate() {
+            assert_eq!(word, lanes.lane(t as u64).get_next_rand(), "lane {t}");
+        }
+    }
+
+    #[test]
     fn expander_lanes_are_decorrelated() {
         let lanes = ExpanderLanes::new(5);
         let mut l0 = lanes.lane(0);
         let mut l1 = lanes.lane(1);
-        let a: Vec<u64> = (0..8).map(|_| l0.get_next_rand()).collect();
-        let b: Vec<u64> = (0..8).map(|_| l1.get_next_rand()).collect();
-        assert_ne!(a, b);
+        let same = (0..100)
+            .filter(|_| l0.get_next_rand() == l1.get_next_rand())
+            .count();
+        assert!(same < 3, "{same} equal words in 100");
     }
 }

@@ -507,4 +507,19 @@ mod tests {
             })
         ));
     }
+
+    #[test]
+    fn long_lived_engines_keep_a_bounded_span_log() {
+        // Two spans per batch (FEED and GENERATE) plus two for Algorithm 1:
+        // 200,002 spans, of which the recorder keeps its capacity.
+        let mut e = engine(1);
+        e.initialize(4).unwrap();
+        let mut out = [0u64; 4];
+        for _ in 0..100_000 {
+            e.try_next_batch_into(&mut out).unwrap();
+        }
+        let telemetry = e.telemetry();
+        assert_eq!(telemetry.spans().len(), 65_536);
+        assert_eq!(telemetry.counter("spans_dropped"), 134_466.0);
+    }
 }

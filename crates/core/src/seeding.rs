@@ -3,8 +3,8 @@
 //! Every glibc-fed generator derives its 32-bit glibc seed from a 64-bit
 //! seed through one function, [`feed_seed`]: the hybrid pipeline's FEED
 //! stage from its master seed, and every on-demand lane — an
-//! [`crate::ExpanderWalkRng::from_seed_u64`] walk, a pool session, a
-//! `CpuParallelPrng` worker — from its [`lane_seed`]. Historically each
+//! [`crate::ExpanderWalkRng::from_seed_u64`] walk, a pool session, an
+//! [`crate::ExpanderLanes`] lane — from its [`lane_seed`]. Historically each
 //! caller had its own copy of the SplitMix64 finalizer, which is exactly
 //! the kind of duplication that drifts: a constant typo in one copy
 //! silently decorrelates nothing while appearing to work. This module is
@@ -67,19 +67,17 @@ mod tests {
     }
 
     #[test]
-    fn cpu_parallel_workers_serve_their_expander_lanes() {
-        use crate::{CpuParallelPrng, ExpanderLanes, SplitOnDemand};
+    fn expander_lanes_fill_serves_lane_t_in_chunk_t() {
+        // The multicore variant's words: chunk `t` of `fill` is lane `t`.
+        use crate::{ExpanderLanes, SplitOnDemand};
         for seed in [0u64, 5, 9, u64::MAX] {
-            let workers = CpuParallelPrng::try_new(seed, 8).unwrap();
             let lanes = ExpanderLanes::new(seed);
-            for t in 0u64..8 {
-                let (mut worker, mut lane) = (workers.worker_rng(t), lanes.lane(t));
-                for i in 0..16 {
-                    assert_eq!(
-                        worker.get_next_rand(),
-                        lane.get_next_rand(),
-                        "seed {seed} t {t} word {i}"
-                    );
+            let mut out = [0u64; 128];
+            lanes.fill(&mut out, 8).unwrap();
+            for (t, chunk) in out.chunks(16).enumerate() {
+                let mut lane = lanes.lane(t as u64);
+                for (i, &word) in chunk.iter().enumerate() {
+                    assert_eq!(word, lane.get_next_rand(), "seed {seed} t {t} word {i}");
                 }
             }
         }

@@ -3,7 +3,7 @@
 
 use hprng_core::dist;
 use hprng_core::{
-    CostModel, CpuParallelPrng, ExpanderWalkRng, HybridParams, HybridPrng, RngBitSource, WalkParams,
+    CostModel, ExpanderLanes, ExpanderWalkRng, HybridParams, HybridPrng, RngBitSource, WalkParams,
 };
 use hprng_gpu_sim::DeviceConfig;
 use rand::Rng;
@@ -66,9 +66,9 @@ fn hybrid_configuration_surface() {
 }
 
 #[test]
-fn cpu_parallel_is_a_drop_in_bulk_source() {
-    let gen = CpuParallelPrng::try_new(11, 2).unwrap();
-    let nums = gen.generate(10_000);
+fn expander_lanes_fill_is_a_drop_in_bulk_source() {
+    let mut nums = vec![0u64; 10_000];
+    ExpanderLanes::new(11).fill(&mut nums, 2).unwrap();
     // Mean of uniform u64 ≈ 2^63.
     let mean = nums.iter().map(|&v| v as f64).sum::<f64>() / nums.len() as f64;
     let expect = (u64::MAX / 2) as f64;

@@ -282,6 +282,62 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_coins_stop_at_the_one_valve_on_both_entry_points() {
+        use crate::hybrid::rank_list_over;
+        use crate::ondemand::rank_on_session;
+        use hprng_core::{HprngError, OnDemandRng};
+        use hprng_telemetry::Recorder;
+        use rand_core::RngCore;
+
+        /// Serves `u64::MAX` to every lane: every coin is 1, so no node is
+        /// ever selected.
+        struct Ones {
+            lanes: usize,
+        }
+        impl OnDemandRng for Ones {
+            fn label(&self) -> &'static str {
+                "ones"
+            }
+            fn lanes(&self) -> usize {
+                self.lanes
+            }
+            fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {
+                out.fill(u64::MAX);
+                Ok(())
+            }
+            fn words_served(&self) -> u64 {
+                0
+            }
+        }
+        impl RngCore for Ones {
+            fn next_u32(&mut self) -> u32 {
+                u32::MAX
+            }
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+            fn fill_bytes(&mut self, dest: &mut [u8]) {
+                dest.fill(u8::MAX);
+            }
+            fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand_core::Error> {
+                dest.fill(u8::MAX);
+                Ok(())
+            }
+        }
+
+        let list = LinkedList::random(100, &mut SplitMix64::new(14));
+        let expected = sequential_rank(&list);
+        let (ranks, red) = rank_on_session(&list, &mut Ones { lanes: 100 });
+        assert_eq!((red.iterations, red.live_count), (4097, 100));
+        assert_eq!(ranks, expected);
+
+        let mut bits = OnDemandBits::new(ScalarRng::new(Ones { lanes: 1 }));
+        let (ranks, stats) = rank_list_over(&list, &mut bits, 15, &mut Recorder::new());
+        assert_eq!((stats.iterations, stats.live_after_reduce), (4097, 100));
+        assert_eq!(ranks, expected);
+    }
+
+    #[test]
     fn expected_fraction_removed_per_iteration() {
         // With fair coins, an interior node is selected with probability
         // 1/8; check the first iteration removes a sane fraction.

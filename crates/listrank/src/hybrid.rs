@@ -20,7 +20,7 @@ use crate::helman_jaja::helman_jaja_engine;
 use crate::list::{LinkedList, NIL};
 use crate::sequential::sequential_rank;
 use hprng_baselines::{GlibcRand, Mt19937_64};
-use hprng_core::{ExpanderWalkRng, OnDemandRng, ScalarRng};
+use hprng_core::{ExpanderWalkRng, ScalarRng};
 use hprng_telemetry::{Recorder, Stage, WordTap};
 use rand_core::SeedableRng;
 use std::time::Instant;
@@ -117,18 +117,6 @@ pub fn rank_list_monitored(
     rank_list_impl(list, strategy, seed, recorder, Some(tap))
 }
 
-/// Ranks `list` with Phase I coins drawn on demand from any
-/// [`OnDemandRng`] lane — the generic entry point the strategy enum's
-/// `OnDemandExpander` arm is a special case of. Use it to run the
-/// three-phase algorithm over an engine session
-/// (`&mut Engine<CpuBackend>`, a [`hprng_core::HybridSession`]) or any
-/// other provider; `seed` feeds only Phase II's splitter selection.
-pub fn rank_list_on<R: OnDemandRng>(list: &LinkedList, rng: R, seed: u64) -> (Vec<u32>, RankStats) {
-    let mut recorder = Recorder::new();
-    let mut provider = OnDemandBits::new(rng);
-    rank_list_over(list, &mut provider, seed, &mut recorder)
-}
-
 fn rank_list_impl(
     list: &LinkedList,
     strategy: RandomnessStrategy,
@@ -180,9 +168,10 @@ fn rank_small(list: &LinkedList) -> (Vec<u32>, RankStats) {
 }
 
 /// The three-phase algorithm over an arbitrary coin-bit provider: the
-/// strategy enum and [`rank_list_on`] are both thin fronts for this.
-/// `seed` feeds only Phase II's splitter selection; Phase I's coins come
-/// entirely from `provider`.
+/// strategy enum is a thin front for this. To draw Phase I's coins on
+/// demand from any [`OnDemandRng`](hprng_core::OnDemandRng) lane, wrap it
+/// in [`OnDemandBits`]. `seed` feeds only Phase II's splitter selection;
+/// Phase I's coins come entirely from `provider`.
 pub fn rank_list_over(
     list: &LinkedList,
     provider: &mut dyn BitProvider,

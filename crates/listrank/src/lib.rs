@@ -18,14 +18,15 @@
 //! * [`sequential_rank`] — the ground truth.
 //! * [`wyllie_rank`] — Wyllie's pointer-jumping algorithm.
 //! * [`fis`] — Algorithm 3: the randomized FIS reduction with full
-//!   book-keeping and bit accounting.
+//!   book-keeping and bit accounting. [`fis::reduce_list`] is the one FIS
+//!   round in the crate; every entry point below runs through it.
 //! * [`helman_jaja_rank`] — the Helman–JáJà sublist algorithm used on the
 //!   reduced list.
 //! * [`hybrid`] — the three-phase algorithm of \[3\] with pluggable
 //!   randomness strategies, reproducing Figure 7.
-//! * [`ondemand`] — Algorithm 3 routed through any
-//!   [`OnDemandRng`](hprng_core::OnDemandRng) session (one lane per node),
-//!   the backend-agnostic replacement for the old bespoke device module.
+//! * [`ondemand`] — Algorithm 3 over any
+//!   [`OnDemandRng`](hprng_core::OnDemandRng) session with one lane per
+//!   node: each round, live node `k` takes its coin from lane `k`.
 
 #![forbid(unsafe_code)]
 #![deny(deprecated)]

@@ -1,28 +1,54 @@
 //! Algorithm 3 over the unified on-demand contract.
 //!
-//! The host-side [`crate::fis`] module consumes packed coin *bits* from a
-//! [`BitProvider`](crate::fis::BitProvider); this module is the device
-//! discipline: every live node calls `GetNextRand()` on its own lane once
-//! per iteration — [`OnDemandRng::try_next_batch_into`] with one slot per
-//! live node — and uses the number's low bit as its coin. Routed through
-//! a pipeline `Engine` session ([`hprng_core::HybridSession`] or
+//! The FIS round itself lives once, in [`crate::fis::reduce_list`]; this
+//! module feeds it with the device discipline: every live node calls
+//! `GetNextRand()` on its own lane once per round —
+//! [`OnDemandRng::try_next_batch_into`] with one slot per live node — and
+//! uses the number's low bit as its coin. Routed through a pipeline
+//! `Engine` session ([`hprng_core::HybridSession`] or
 //! `Engine<CpuBackend>`), the FEED/TRANSFER/GENERATE stages hit the
 //! backend's timeline exactly as the paper's Figure 7 experiment demands,
 //! with no application-side gpu-sim orchestration.
 //!
 //! This path reproduces the retired `listrank::device` module's rank
 //! results bit-for-bit: the numbers a session serves depend only on the
-//! feed stream and the per-iteration batch sizes, which are identical, and
-//! the selection/splice applied here is the same fractional-independent-set
-//! step the device kernels computed.
+//! feed stream and the per-round batch sizes, which are identical, and
+//! the selection/splice is the same fractional-independent-set step the
+//! device kernels computed.
 
-use crate::fis::{Reduction, Removal};
+use crate::fis::{reduce_list, reinsert_ranks, BitProvider, Reduction};
 use crate::list::{LinkedList, NIL};
 use hprng_core::OnDemandRng;
-use rayon::prelude::*;
+
+/// Coins from a multi-lane session: each round draws one number from each
+/// of the first `count` lanes (live node `k` reads lane `k`) and keeps its
+/// low bit.
+struct LaneCoins<R> {
+    rng: R,
+    numbers: Vec<u64>,
+    produced: u64,
+}
+
+impl<R: OnDemandRng> BitProvider for LaneCoins<R> {
+    fn provide(&mut self, out: &mut [u8], count: usize) -> u64 {
+        let numbers = &mut self.numbers[..count];
+        self.rng
+            .try_next_batch_into(numbers)
+            .expect("live count never exceeds the session lanes");
+        for (coin, &number) in out[..count].iter_mut().zip(numbers.iter()) {
+            *coin = (number & 1) as u8;
+        }
+        self.produced += count as u64;
+        count as u64
+    }
+
+    fn bits_produced(&self) -> u64 {
+        self.produced
+    }
+}
 
 /// Reduces `list` until at most `target` nodes remain, drawing one number
-/// per live node per iteration from `rng` (the device discipline of
+/// per live node per round from `rng` (the device discipline of
 /// Algorithm 3: line 6 is a whole-batch `GetNextRand()` call).
 ///
 /// The provider must have at least `list.len()` lanes — open an engine
@@ -30,8 +56,8 @@ use rayon::prelude::*;
 /// expander graph for all threads.
 ///
 /// # Panics
-/// Panics if `target == 0`, the list is empty, or `rng` has fewer lanes
-/// than the list has nodes.
+/// Panics if `target == 0` or `rng` has fewer lanes than the list has
+/// nodes.
 pub fn reduce_on_session<R: OnDemandRng>(
     list: &LinkedList,
     target: usize,
@@ -39,105 +65,24 @@ pub fn reduce_on_session<R: OnDemandRng>(
 ) -> Reduction {
     assert!(target > 0, "target must be positive");
     let n = list.len();
-    assert!(n > 0, "empty list");
     assert!(
         rng.lanes() >= n,
         "the session needs one lane per node ({} lanes < {n} nodes)",
         rng.lanes()
     );
-
-    let mut succ = list.succ.clone();
-    let mut pred = list.pred.clone();
-    let mut dist = vec![1u32; n];
-    let mut live = vec![true; n];
-    let mut live_nodes: Vec<u32> = (0..n as u32).collect();
-    let mut removals = Vec::new();
-    let mut numbers = vec![0u64; n];
-    let mut iterations = 0usize;
-    let mut bits_consumed = 0u64;
-    let mut live_history = Vec::new();
-    let head = list.head;
-
-    while live_nodes.len() > target {
-        iterations += 1;
-        let count = live_nodes.len();
-        live_history.push(count);
-
-        // Line 4/6: each live node calls GetNextRand() — one number from
-        // each of the first `count` lanes.
-        rng.try_next_batch_into(&mut numbers[..count])
-            .expect("live count never exceeds the session lanes");
-        bits_consumed += count as u64;
-
-        // Coin per *node* (dead nodes read as 0, as do NIL boundaries).
-        let mut coins = vec![0u8; n];
-        for (k, &v) in live_nodes.iter().enumerate() {
-            coins[v as usize] = (numbers[k] & 1) as u8;
-        }
-
-        // Selection (lines 7-9): b(u)=1 ∧ b(pred)=0 ∧ b(succ)=0, never the
-        // anchors.
-        let selected: Vec<u32> = live_nodes
-            .par_iter()
-            .copied()
-            .filter(|&v| {
-                let vi = v as usize;
-                if coins[vi] != 1 {
-                    return false;
-                }
-                let p = pred[vi];
-                let s = succ[vi];
-                if p == NIL || s == NIL {
-                    return false;
-                }
-                coins[p as usize] == 0 && coins[s as usize] == 0
-            })
-            .collect();
-
-        // Splice (line 10). FIS independence makes the writes disjoint: a
-        // selected node's neighbours are unselected, so `dist[p]` read here
-        // is what a barrier-separated kernel would have read too.
-        for &v in &selected {
-            let vi = v as usize;
-            let p = pred[vi];
-            let s = succ[vi];
-            removals.push(Removal {
-                node: v,
-                pred: p,
-                succ: s,
-                dist_from_pred: dist[p as usize],
-            });
-            succ[p as usize] = s;
-            pred[s as usize] = p;
-            dist[p as usize] += dist[vi];
-            live[vi] = false;
-        }
-        live_nodes.retain(|&v| live[v as usize]);
-
-        if iterations > 64 * usize::BITS as usize {
-            break; // degenerate randomness safety valve
-        }
-    }
-
-    Reduction {
-        succ,
-        pred,
-        head,
-        dist,
-        live_count: live_nodes.len(),
-        live,
-        removals,
-        iterations,
-        bits_consumed,
-        live_history,
-    }
+    let mut coins = LaneCoins {
+        rng,
+        numbers: vec![0; n],
+        produced: 0,
+    };
+    reduce_list(list, target, &mut coins)
 }
 
 /// Full session-routed ranking: [`reduce_on_session`] to `n / log₂ n`
-/// nodes, a sequential sweep of the remnant (stand-in for Phase II, shared
-/// with the host path), and reverse reinsertion. Returns the ranks and the
-/// reduction for stats introspection; pipeline/timeline figures come from
-/// the session itself after the call.
+/// nodes, a sequential sweep of the remnant (stand-in for Phase II), and
+/// [`reinsert_ranks`]. Returns the ranks and the reduction for stats
+/// introspection; pipeline/timeline figures come from the session itself
+/// after the call.
 ///
 /// # Panics
 /// As [`reduce_on_session`].
@@ -153,9 +98,7 @@ pub fn rank_on_session<R: OnDemandRng>(list: &LinkedList, rng: &mut R) -> (Vec<u
         acc += red.dist[cur as usize];
         cur = red.succ[cur as usize];
     }
-    for r in red.removals.iter().rev() {
-        ranks[r.node as usize] = ranks[r.pred as usize] + r.dist_from_pred;
-    }
+    reinsert_ranks(&red, &mut ranks);
     (ranks, red)
 }
 

@@ -28,7 +28,7 @@ pub mod sim;
 mod tissue;
 
 pub use sim::{
-    run_simulation, run_simulation_monitored, run_simulation_on, run_simulation_on_with_telemetry,
-    run_simulation_with_telemetry, RandomSupply, ScoringGrid, SimConfig, SimOutput,
+    run_simulation, run_simulation_monitored, run_simulation_on, run_simulation_with_telemetry,
+    RandomSupply, ScoringGrid, SimConfig, SimOutput,
 };
 pub use tissue::{Layer, Tissue};

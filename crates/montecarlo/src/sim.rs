@@ -420,22 +420,7 @@ pub fn run_simulation_on<S: SplitOnDemand + Sync>(
     lanes: &S,
 ) -> SimOutput {
     let mut recorder = hprng_telemetry::Recorder::new();
-    run_simulation_on_with_telemetry(tissue, photons, config, lanes, &mut recorder)
-}
-
-/// [`run_simulation_on`] with the same observability contract as
-/// [`run_simulation_with_telemetry`].
-///
-/// # Panics
-/// Panics if `photons == 0`.
-pub fn run_simulation_on_with_telemetry<S: SplitOnDemand + Sync>(
-    tissue: &Tissue,
-    photons: u64,
-    config: &SimConfig,
-    lanes: &S,
-    recorder: &mut hprng_telemetry::Recorder,
-) -> SimOutput {
-    run_simulation_core(tissue, photons, config, recorder, None, |c| {
+    run_simulation_core(tissue, photons, config, &mut recorder, None, |c| {
         Source::Inline { rng: lanes.lane(c) }
     })
 }
@@ -799,22 +784,6 @@ mod tests {
             legacy.roulette_loss.to_bits(),
             routed.roulette_loss.to_bits()
         );
-    }
-
-    #[test]
-    fn cpu_parallel_lanes_drive_the_simulation() {
-        // Any SplitOnDemand family plugs in: here the multicore CPU
-        // generator's worker streams, one per photon chunk.
-        let tissue = Tissue::three_layer();
-        let cfg = quick_config(RandomSupply::InlineHybrid);
-        let lanes = hprng_core::CpuParallelPrng::try_new(7, 4).unwrap();
-        let out = run_simulation_on(&tissue, 5_000, &cfg, &lanes);
-        assert_eq!(out.photons, 5_000);
-        assert_eq!(out.clashes, 0);
-        let total = out.total_weight() / out.photons as f64;
-        assert!((total - 1.0).abs() < 1e-2, "total weight {total}");
-        let again = run_simulation_on(&tissue, 5_000, &cfg, &lanes);
-        assert_eq!(out.diffuse_reflectance, again.diffuse_reflectance);
     }
 
     #[test]

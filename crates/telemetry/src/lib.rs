@@ -290,6 +290,11 @@ impl Histogram {
 /// ordered maps, and time is measured from a per-recorder epoch so merged
 /// traces from one recorder share one clock. Cloning is cheap enough for
 /// tests; production code moves recorders around.
+///
+/// Spans follow the [`Registry`] rule: once
+/// [`registry::DEFAULT_SPAN_CAPACITY`] spans are stored, later ones are
+/// counted in the `spans_dropped` counter instead, so a long-lived
+/// recorder (a pipeline engine's) stays bounded.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     epoch: Instant,
@@ -340,8 +345,14 @@ impl Recorder {
     }
 
     /// Records a completed span with explicit relative timestamps.
-    /// Spans with `end_ns < start_ns` are clamped to zero length.
+    /// Spans with `end_ns < start_ns` are clamped to zero length. Past
+    /// [`registry::DEFAULT_SPAN_CAPACITY`] stored spans, the span is
+    /// counted in `spans_dropped` instead.
     pub fn record_span(&mut self, stage: Stage, name: &str, start_ns: f64, end_ns: f64) {
+        if self.spans.len() >= registry::DEFAULT_SPAN_CAPACITY {
+            self.add("spans_dropped", 1.0);
+            return;
+        }
         self.spans.push(HostSpan {
             stage,
             name: name.to_string(),
@@ -447,9 +458,16 @@ impl Recorder {
     }
 
     /// Merges another recorder's data into this one: spans keep their own
-    /// relative timestamps, counters add, series concatenate, histograms
+    /// relative timestamps (up to the span capacity; the rest count in
+    /// `spans_dropped`), counters add, series concatenate, histograms
     /// merge bucket-wise, and `other`'s gauges win on name collisions.
-    pub fn absorb(&mut self, other: Recorder) {
+    pub fn absorb(&mut self, mut other: Recorder) {
+        let room = registry::DEFAULT_SPAN_CAPACITY.saturating_sub(self.spans.len());
+        if other.spans.len() > room {
+            let dropped = other.spans.len() - room;
+            other.spans.truncate(room);
+            self.add("spans_dropped", dropped as f64);
+        }
         self.spans.extend(other.spans);
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0.0) += v;
@@ -929,6 +947,32 @@ mod tests {
         assert_eq!(a.counter("n"), 3.0);
         assert_eq!(a.histogram("lat").unwrap().count(), 2);
         assert_eq!(a.spans().len(), 1);
+    }
+
+    #[test]
+    fn recorder_spans_stop_at_the_registry_capacity() {
+        let cap = registry::DEFAULT_SPAN_CAPACITY;
+        let mut a = Recorder::new();
+        for i in 0..cap + 3 {
+            a.record_span(Stage::Feed, "feed", i as f64, i as f64 + 1.0);
+        }
+        assert_eq!(a.spans().len(), cap);
+        assert_eq!(a.counter("spans_dropped"), 3.0);
+
+        // Absorbing keeps what fits and counts the rest, on top of the
+        // other recorder's own drops.
+        let mut b = Recorder::new();
+        for i in 0..cap - 2 {
+            b.record_span(Stage::App, "app", i as f64, i as f64);
+        }
+        let mut c = Recorder::new();
+        for i in 0..5 {
+            c.record_span(Stage::App, "app", i as f64, i as f64);
+        }
+        c.add("spans_dropped", 7.0);
+        b.absorb(c);
+        assert_eq!(b.spans().len(), cap);
+        assert_eq!(b.counter("spans_dropped"), 10.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hybrid_prng::prng::{CpuParallelPrng, ExpanderWalkRng, HybridPrng};
+use hybrid_prng::prng::{ExpanderLanes, ExpanderWalkRng, HybridPrng};
 use rand_core::RngCore;
 
 fn main() {
@@ -23,13 +23,16 @@ fn main() {
         rng.numbers_generated()
     );
 
-    // 2. The multicore CPU variant (Figure 6's subject).
-    let cpu = CpuParallelPrng::per_cpu(42);
-    let batch = cpu.generate(1_000_000);
+    // 2. The multicore CPU variant (Figure 6's subject): one walk per CPU,
+    //    each filling its own chunk of the output.
+    let walks = rayon::current_num_threads();
+    let mut batch = vec![0u64; 1_000_000];
+    ExpanderLanes::new(42)
+        .fill(&mut batch, walks)
+        .expect("rayon runs at least one thread");
     println!(
-        "CPU-parallel: generated {} numbers on {} worker walks; first = {:#018x}\n",
+        "CPU-parallel: generated {} numbers on {walks} walks; first = {:#018x}\n",
         batch.len(),
-        cpu.threads(),
         batch[0]
     );
 

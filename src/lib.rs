@@ -20,7 +20,7 @@
 //!   LCG, Philox, SplitMix64.
 //! * [`gpu`] — the simulated hybrid CPU+GPU platform.
 //! * [`prng`] — [`prng::ExpanderWalkRng`], [`prng::HybridPrng`] and
-//!   [`prng::CpuParallelPrng`]: the paper's generator. The stage-decoupled
+//!   [`prng::ExpanderLanes`]: the paper's generator. The stage-decoupled
 //!   engine lives in [`prng::pipeline`]: [`BitFeed`] feeders and the
 //!   [`Backend`]s ([`DeviceBackend`], [`CpuBackend`]) unified under
 //!   [`Engine`], which on the device backend is the [`HybridSession`].
@@ -115,8 +115,8 @@
 //!    word accounting, an optional quality tap — and is implemented by the
 //!    pipeline [`Engine`] on both backends, a single [`ExpanderWalkRng`]
 //!    walk, and (via [`ScalarRng`]) every baseline generator.
-//!    [`SplitOnDemand`] families such as [`ExpanderLanes`] and
-//!    [`CpuParallelPrng`] hand independent lanes to parallel consumers. Both
+//!    [`SplitOnDemand`] families such as [`ExpanderLanes`] hand
+//!    independent lanes to parallel consumers. Both
 //!    applications ([`listrank::rank_on_session`],
 //!    [`montecarlo::run_simulation_on`]) are generic over it.
 
@@ -138,10 +138,9 @@ pub use hprng_telemetry as telemetry;
 pub use hprng_transport as transport;
 
 pub use hprng_core::{
-    Backend, BitFeed, CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes,
-    ExpanderWalkRng, GlibcFeed, HprngError, HybridParams, HybridParamsBuilder, HybridPrng,
-    HybridSession, OnDemandRng, PipelineStats, ScalarRng, SplitOnDemand, StreamState, WalkParams,
-    WalkParamsBuilder,
+    Backend, BitFeed, CpuBackend, DeviceBackend, Engine, ExpanderLanes, ExpanderWalkRng, GlibcFeed,
+    HprngError, HybridParams, HybridParamsBuilder, HybridPrng, HybridSession, OnDemandRng,
+    PipelineStats, ScalarRng, SplitOnDemand, StreamState, WalkParams, WalkParamsBuilder,
 };
 pub use hprng_gpu_sim::{ConfigError, DeviceConfig, DeviceConfigBuilder};
 pub use hprng_monitor::{
@@ -220,9 +219,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub mod prelude {
     pub use crate::{Error, Result};
     pub use hprng_core::{
-        CpuBackend, CpuParallelPrng, DeviceBackend, Engine, ExpanderLanes, ExpanderWalkRng,
-        GlibcFeed, HprngError, HybridParams, HybridPrng, HybridSession, OnDemandRng, ScalarRng,
-        SplitOnDemand, StreamState, WalkParams,
+        CpuBackend, DeviceBackend, Engine, ExpanderLanes, ExpanderWalkRng, GlibcFeed, HprngError,
+        HybridParams, HybridPrng, HybridSession, OnDemandRng, ScalarRng, SplitOnDemand,
+        StreamState, WalkParams,
     };
     pub use hprng_gpu_sim::DeviceConfig;
     pub use hprng_monitor::{AlertSink, MonitorConfig, MonitorHandle};
