@@ -39,14 +39,16 @@ impl WalkParams {
     /// Raw 3-bit chunks needed per generated number.
     ///
     /// Exact for the mask-with-self-loop policy; an expected lower bound for
-    /// rejection sampling.
+    /// rejection sampling, which is why
+    /// [`Engine::initialize`](crate::Engine::initialize) refuses it.
     #[inline]
     pub fn chunks_per_number(&self) -> u64 {
         self.walk_len as u64
     }
 
     /// 64-bit words of raw bits a thread needs to produce one number
-    /// (21 three-bit chunks fit in a word).
+    /// (21 three-bit chunks fit in a word): an engine lane's span per
+    /// number, exact because the engine refuses rejection sampling.
     #[inline]
     pub fn words_per_number(&self) -> usize {
         (self.walk_len as usize).div_ceil(hprng_expander::bits::CHUNKS_PER_WORD)

@@ -4,21 +4,22 @@
 //! them, so one [`Engine`](crate::pipeline::Engine) drives both platforms
 //! the paper discusses:
 //!
-//! * [`DeviceBackend`] — the simulated GPU: walks are device-resident, a
-//!   GENERATE kernel advances one walk per device thread, and every
-//!   operation (H2D transfer, kernel launch, D2H copy-back) is accounted on
-//!   the device's simulated [`Timeline`].
+//! * [`DeviceBackend`] — the simulated GPU: walks are device-resident, and
+//!   every operation (H2D transfer, GENERATE kernel launch, D2H copy-back)
+//!   is accounted on the device's simulated [`Timeline`]. The labels are
+//!   computed on the host with the kernel below; the simulated launch only
+//!   charges each thread's costs and writes its label.
 //! * [`CpuBackend`] — "our generator can also work on other multicore
 //!   architectures" (§IV-A): walks advance on real host threads via rayon,
 //!   with no simulated clock at all.
 //!
-//! Both call the *same* walk-stepping helpers over the same per-thread bit
-//! spans, so for a fixed feed stream their outputs are bit-identical — a
-//! property the cross-backend golden test pins.
+//! Both advance their lanes through one lane loop over the same per-thread
+//! bit spans, eight at a time with [`hprng_expander::advance_lanes`], so
+//! for a fixed feed stream their outputs are bit-identical — a property
+//! the cross-backend golden test pins.
 
-use crate::params::{HybridParams, WalkParams};
-use hprng_expander::bits::{SliceBitSource, TriBitReader};
-use hprng_expander::{Vertex, Walk};
+use crate::params::HybridParams;
+use hprng_expander::{advance_lanes, WalkMode, KERNEL_LANES};
 use hprng_gpu_sim::{Device, DeviceBuffer, Op, Resource, Stream, Timeline, WorkUnit};
 use hprng_telemetry::{Recorder, Stage};
 use rayon::prelude::*;
@@ -30,29 +31,38 @@ pub fn init_words_per_thread(params: &HybridParams) -> usize {
     1 + (params.walk.warmup_len as usize).div_ceil(hprng_expander::bits::CHUNKS_PER_WORD)
 }
 
-/// Algorithm 1 for one thread: drop the walk on the start vertex packed in
-/// `span[0]`, warm it up over the remaining words, return the packed
-/// position.
-#[inline]
-pub(crate) fn init_walk_state(span: &[u64], walk: &WalkParams) -> u64 {
-    let mut w = Walk::new(Vertex::unpack(span[0]), walk.sampling, walk.mode);
-    // warmup_len == 0 is a valid configuration (no warm-up walk); the bit
-    // source cannot be built over the empty span.
-    if walk.warmup_len > 0 {
-        let mut reader = TriBitReader::with_buffer(SliceBitSource::new(&span[1..]), span.len() - 1);
-        w.advance(walk.warmup_len, &mut reader);
-    }
-    w.position().pack()
+/// Algorithm 1 for `threads` lanes: lane `t` starts on the vertex packed in
+/// word 0 of its `init_words_per_thread` span and warms up over the rest.
+fn init_labels(threads: usize, bits: &[u64], params: &HybridParams, workers: usize) -> Vec<u64> {
+    let span = init_words_per_thread(params);
+    let mut labels: Vec<u64> = bits.iter().step_by(span).take(threads).copied().collect();
+    let warmup = bits.get(1..).unwrap_or_default();
+    let (len, mode) = (params.walk.warmup_len, params.walk.mode);
+    advance_spans(&mut labels, warmup, span, len, mode, workers);
+    labels
 }
 
-/// Algorithm 2 for one thread: advance the walk at `state` by `walk_len`
-/// steps over `span`, returning the packed destination (which is both the
-/// generated number and the next state).
-#[inline]
-pub(crate) fn advance_walk_state(state: u64, span: &[u64], walk: &WalkParams) -> u64 {
-    let mut w = Walk::new(Vertex::unpack(state), walk.sampling, walk.mode);
-    let mut reader = TriBitReader::with_buffer(SliceBitSource::new(span), span.len());
-    w.advance(walk.walk_len, &mut reader).pack()
+/// Advances lane `t` from `labels[t]` by `len` steps over the words
+/// `words[t * stride..]`. Each of the `workers` takes a run of whole
+/// kernel groups, so only the last group is partial.
+fn advance_spans(
+    labels: &mut [u64],
+    words: &[u64],
+    stride: usize,
+    len: u32,
+    mode: WalkMode,
+    workers: usize,
+) {
+    let chunk = labels.len().div_ceil(KERNEL_LANES).div_ceil(workers).max(1) * KERNEL_LANES;
+    labels
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(c, labels)| {
+            for (g, group) in labels.chunks_mut(KERNEL_LANES).enumerate() {
+                let first = c * chunk + g * KERNEL_LANES;
+                advance_lanes(group, &words[first * stride..], stride, len, mode);
+            }
+        });
 }
 
 /// Where the GENERATE stage runs.
@@ -171,14 +181,12 @@ impl Backend for DeviceBackend<'_> {
         stream.wait_until(stream.cursor_ns() + self.params.cost.kernel_launch_ns);
 
         let params = self.params;
-        let bits = bits_dev.as_slice().to_vec();
+        let labels = init_labels(threads, bits_host, &params, rayon::current_num_threads());
         stream.launch_map(
             WorkUnit::Generate,
             self.states.as_mut_slice(),
             |ctx, state| {
-                let t = ctx.global_id();
-                let span = &bits[t * words_per_thread..(t + 1) * words_per_thread];
-                *state = init_walk_state(span, &params.walk);
+                *state = labels[ctx.global_id()];
                 ctx.charge(
                     Op::Alu,
                     params.cost.walk_cycles_per_step * params.walk.warmup_len as u64,
@@ -206,25 +214,18 @@ impl Backend for DeviceBackend<'_> {
         stream.wait_until(stream.cursor_ns() + self.params.cost.kernel_launch_ns);
 
         let params = self.params;
-        let bits = bits_dev.into_host();
-        stream.launch_zip(
-            WorkUnit::Generate,
-            &mut self.states.as_mut_slice()[..count],
-            out,
-            1,
-            |ctx, state, span| {
-                let t = ctx.global_id();
-                let word_span = &bits[t * words_per_thread..(t + 1) * words_per_thread];
-                let dest = advance_walk_state(*state, word_span, &params.walk);
-                *state = dest;
-                span[0] = dest;
-                ctx.charge(
-                    Op::Alu,
-                    params.cost.walk_cycles_per_step * params.walk.walk_len as u64,
-                );
-                ctx.charge(Op::Mem, words_per_thread as u64 + 1);
-            },
-        );
+        let (len, mode) = (params.walk.walk_len, params.walk.mode);
+        let states = &mut self.states.as_mut_slice()[..count];
+        let workers = rayon::current_num_threads();
+        advance_spans(states, bits_host, words_per_thread, len, mode, workers);
+        stream.launch_zip(WorkUnit::Generate, states, out, 1, |ctx, state, span| {
+            span[0] = *state;
+            ctx.charge(
+                Op::Alu,
+                params.cost.walk_cycles_per_step * params.walk.walk_len as u64,
+            );
+            ctx.charge(Op::Mem, words_per_thread as u64 + 1);
+        });
         recorder.finish_span(gen_span);
         if self.params.copy_back {
             let copy_span = recorder.start_span(Stage::Transfer, "copy_back");
@@ -287,41 +288,17 @@ impl Backend for CpuBackend {
 
     fn initialize(&mut self, threads: usize, bits: &[u64], recorder: &mut Recorder) {
         let gen_span = recorder.start_span(Stage::Generate, "initialize");
-        let words_per_thread = init_words_per_thread(&self.params);
-        self.states = vec![0u64; threads];
-        let walk = self.params.walk;
-        let chunk = threads.div_ceil(self.workers);
-        self.states
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(c, states)| {
-                for (i, state) in states.iter_mut().enumerate() {
-                    let t = c * chunk + i;
-                    let span = &bits[t * words_per_thread..(t + 1) * words_per_thread];
-                    *state = init_walk_state(span, &walk);
-                }
-            });
+        self.states = init_labels(threads, bits, &self.params, self.workers);
         recorder.finish_span(gen_span);
     }
 
     fn generate(&mut self, count: usize, bits: &[u64], out: &mut [u64], recorder: &mut Recorder) {
         let gen_span = recorder.start_span(Stage::Generate, "next_batch");
-        let words_per_thread = self.params.walk.words_per_number();
         let walk = self.params.walk;
-        let chunk = count.div_ceil(self.workers);
-        self.states[..count]
-            .par_chunks_mut(chunk)
-            .zip(out.par_chunks_mut(chunk))
-            .enumerate()
-            .for_each(|(c, (states, outs))| {
-                for (i, (state, o)) in states.iter_mut().zip(outs.iter_mut()).enumerate() {
-                    let t = c * chunk + i;
-                    let span = &bits[t * words_per_thread..(t + 1) * words_per_thread];
-                    let dest = advance_walk_state(*state, span, &walk);
-                    *state = dest;
-                    *o = dest;
-                }
-            });
+        let states = &mut self.states[..count];
+        let stride = walk.words_per_number();
+        advance_spans(states, bits, stride, walk.walk_len, walk.mode, self.workers);
+        out.copy_from_slice(states);
         recorder.finish_span(gen_span);
     }
 
@@ -373,21 +350,27 @@ mod tests {
 
     #[test]
     fn cpu_backend_output_is_worker_count_invariant() {
+        // At 61 lanes the worker chunks and the partial group of 8 fall on
+        // other lanes than at 64; the 13-lane batch ends mid-group.
         let params = HybridParams::default();
-        let threads = 64;
-        let init_words = threads * init_words_per_thread(&params);
-        let batch_words = threads * params.walk.words_per_number();
-        let bits = feed_words(3, init_words + batch_words);
+        let per_number = params.walk.words_per_number();
         let mut rec = Recorder::new();
-        let mut reference: Option<Vec<u64>> = None;
-        for workers in [1usize, 2, 3, 8] {
-            let mut cpu = CpuBackend::with_workers(params, workers);
-            cpu.initialize(threads, &bits[..init_words], &mut rec);
-            let mut out = vec![0u64; threads];
-            cpu.generate(threads, &bits[init_words..], &mut out, &mut rec);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(r, &out, "workers={workers}"),
+        for threads in [64usize, 61] {
+            let init_words = threads * init_words_per_thread(&params);
+            let bits = feed_words(3, init_words + (threads + 13) * per_number);
+            let (full_bits, partial_bits) = bits[init_words..].split_at(threads * per_number);
+            let mut reference: Option<Vec<u64>> = None;
+            for workers in [1usize, 2, 3, 8] {
+                let mut cpu = CpuBackend::with_workers(params, workers);
+                cpu.initialize(threads, &bits[..init_words], &mut rec);
+                let mut out = vec![0u64; threads + 13];
+                let (full, partial) = out.split_at_mut(threads);
+                cpu.generate(threads, full_bits, full, &mut rec);
+                cpu.generate(13, partial_bits, partial, &mut rec);
+                match &reference {
+                    None => reference = Some(out),
+                    Some(r) => assert_eq!(r, &out, "threads={threads} workers={workers}"),
+                }
             }
         }
     }

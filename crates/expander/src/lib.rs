@@ -18,6 +18,9 @@
 //!   their inverses, plus [`GabberGalilGeneric`] for any modulus.
 //! * [`Walk`] — a stateful random-walk cursor that consumes 3-bit neighbour
 //!   choices from a [`bits::TriBitReader`].
+//! * [`advance_lanes`] — the multi-lane kernel: [`KERNEL_LANES`] walks
+//!   advanced in lock-step over per-lane word spans, each bit-identical to
+//!   [`Walk::advance`].
 //! * [`analysis`] — exact edge expansion on tiny graphs, spectral gap
 //!   estimation, and total-variation mixing curves, used to validate the
 //!   construction against the paper's claims
@@ -54,5 +57,5 @@ mod walk;
 mod zm;
 
 pub use graph::{GabberGalil, GabberGalilGeneric, DEGREE};
-pub use walk::{NeighborSampling, Walk, WalkMode, WalkState};
+pub use walk::{advance_lanes, NeighborSampling, Walk, WalkMode, WalkState, KERNEL_LANES};
 pub use zm::{GenVertex, Vertex};

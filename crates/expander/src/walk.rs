@@ -22,7 +22,7 @@
 //!   mix rapidly; `Directed` matches the published implementation and is the
 //!   default.
 
-use crate::bits::{BitSource, TriBitReader};
+use crate::bits::{BitSource, TriBitReader, CHUNKS_PER_WORD};
 use crate::graph::{GabberGalil, DEGREE};
 use crate::zm::Vertex;
 
@@ -206,6 +206,109 @@ impl Walk {
             self.step_with(bits);
         }
         self.pos
+    }
+}
+
+/// Walks advanced together by [`advance_lanes`].
+pub const KERNEL_LANES: usize = 8;
+
+/// Advances up to [`KERNEL_LANES`] walks in lock-step: the paper's
+/// Algorithm 2 with one walk per device thread, on the host.
+///
+/// Lane `i` stands on the packed label `labels[i]` and reads its 3-bit
+/// chunks from `words[i * stride..]`, as a [`TriBitReader`] would: 21
+/// chunks per word, low chunk first, top bit dropped. It takes `len`
+/// mask-with-self-loop steps; the chunks its last word has left over are
+/// dropped. Each lane's new label equals that of
+/// `Walk::new(start, NeighborSampling::MaskWithSelfLoop, mode).advance(len, ..)`
+/// over the lane's own words: in [`WalkMode::Bipartite`] the step parity
+/// counts from 0 within the call, and self-loops count as steps.
+///
+/// A single walk is a chain of dependent steps. The kernel keeps eight of
+/// them as structure-of-arrays (`x` and `y` as `[u32; 8]`, one chunk
+/// register per lane, reloaded every 21 steps), so their steps overlap.
+/// Lanes past `labels.len()` step on zero chunks, which stay put, and are
+/// discarded.
+///
+/// # Panics
+/// Panics if `labels` holds more than [`KERNEL_LANES`] labels, if `stride`
+/// is shorter than the `len.div_ceil(21)` words a lane reads, or if
+/// `words` ends before the last lane's words do.
+pub fn advance_lanes(labels: &mut [u64], words: &[u64], stride: usize, len: u32, mode: WalkMode) {
+    let lanes = labels.len();
+    assert!(
+        lanes <= KERNEL_LANES,
+        "advance_lanes takes at most {KERNEL_LANES} lanes, got {lanes}"
+    );
+    let span = (len as usize).div_ceil(CHUNKS_PER_WORD);
+    if lanes == 0 || span == 0 {
+        return;
+    }
+    assert!(
+        stride >= span,
+        "stride {stride} is shorter than a lane's {span} words"
+    );
+    assert!(
+        words.len() >= (lanes - 1) * stride + span,
+        "{lanes} lanes of {span} words at stride {stride} need more than {} words",
+        words.len()
+    );
+    let (mut x, mut y) = ([0u32; KERNEL_LANES], [0u32; KERNEL_LANES]);
+    for (i, &label) in labels.iter().enumerate() {
+        let v = Vertex::unpack(label);
+        (x[i], y[i]) = (v.x, v.y);
+    }
+    let mut chunks = [0u64; KERNEL_LANES];
+    let mut step = 0;
+    for w in 0..span {
+        for (i, c) in chunks[..lanes].iter_mut().enumerate() {
+            *c = words[i * stride + w];
+        }
+        let end = len.min(step + CHUNKS_PER_WORD as u32);
+        match mode {
+            WalkMode::Directed => {
+                (step..end).for_each(|_| step_lanes::<false>(&mut x, &mut y, &mut chunks))
+            }
+            WalkMode::Bipartite => (step..end).for_each(|s| {
+                if s % 2 == 0 {
+                    step_lanes::<false>(&mut x, &mut y, &mut chunks)
+                } else {
+                    step_lanes::<true>(&mut x, &mut y, &mut chunks)
+                }
+            }),
+        }
+        step = end;
+    }
+    for (i, label) in labels.iter_mut().enumerate() {
+        *label = Vertex::new(x[i], y[i]).pack();
+    }
+}
+
+/// One mask-with-self-loop step of every lane, forward
+/// ([`GabberGalil::step_masked`]) or, with `INVERSE`, backward along the
+/// same edge class: chunk `c` in `1..=3` moves `y` by `2x + c - 1`, `c` in
+/// `4..=6` moves `x` by `2y + c - 4`, and `0` or `7` stays. Branch-free, so
+/// the lanes share one instruction stream.
+#[inline(always)]
+fn step_lanes<const INVERSE: bool>(
+    x: &mut [u32; KERNEL_LANES],
+    y: &mut [u32; KERNEL_LANES],
+    chunks: &mut [u64; KERNEL_LANES],
+) {
+    for ((x, y), chunk) in x.iter_mut().zip(y.iter_mut()).zip(chunks.iter_mut()) {
+        let c = (*chunk & 0b111) as u32;
+        *chunk >>= 3;
+        let dy = x.wrapping_mul(2).wrapping_add(c.wrapping_sub(1));
+        let dx = y.wrapping_mul(2).wrapping_add(c.wrapping_sub(4));
+        let (ny, nx) = if INVERSE {
+            (y.wrapping_sub(dy), x.wrapping_sub(dx))
+        } else {
+            (y.wrapping_add(dy), x.wrapping_add(dx))
+        };
+        let mask_y = 0u32.wrapping_sub(u32::from(c.wrapping_sub(1) < 3));
+        let mask_x = 0u32.wrapping_sub(u32::from(c.wrapping_sub(4) < 3));
+        *x = (*x & !mask_x) | (nx & mask_x);
+        *y = (*y & !mask_y) | (ny & mask_y);
     }
 }
 

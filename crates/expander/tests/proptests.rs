@@ -2,7 +2,8 @@
 
 use hprng_expander::bits::{SliceBitSource, TriBitReader, CHUNKS_PER_WORD};
 use hprng_expander::{
-    GabberGalil, GabberGalilGeneric, GenVertex, NeighborSampling, Vertex, Walk, WalkMode, DEGREE,
+    advance_lanes, GabberGalil, GabberGalilGeneric, GenVertex, NeighborSampling, Vertex, Walk,
+    WalkMode, DEGREE, KERNEL_LANES,
 };
 use proptest::prelude::*;
 
@@ -112,5 +113,35 @@ proptest! {
         let dest = w.step_choice(choice);
         let neighbors: Vec<Vertex> = (0..DEGREE).map(|k| g.neighbor(v, k)).collect();
         prop_assert!(dest == v || neighbors.contains(&dest));
+    }
+
+    /// The multi-lane kernel equals one `Walk::advance` per lane over that
+    /// lane's words. Each lane's span has one extra word of garbage, which a
+    /// kernel that reads past its lane's chunks would pick up.
+    #[test]
+    fn advance_lanes_equals_walk_advance(
+        labels in prop::collection::vec(any::<u64>(), 1..KERNEL_LANES + 1),
+        words in prop::collection::vec(any::<u64>(), KERNEL_LANES * 8..KERNEL_LANES * 8 + 1),
+        len in 0u32..131,
+        bipartite in any::<bool>(),
+    ) {
+        let mode = if bipartite { WalkMode::Bipartite } else { WalkMode::Directed };
+        let span = (len as usize).div_ceil(CHUNKS_PER_WORD);
+        let stride = span + 1;
+        let expect: Vec<u64> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &label)| {
+                // The reference reads only the lane's own words, cycling.
+                let own = &words[i * stride..i * stride + span.max(1)];
+                let mut reader = TriBitReader::new(SliceBitSource::new(own));
+                Walk::new(Vertex::unpack(label), NeighborSampling::MaskWithSelfLoop, mode)
+                    .advance(len, &mut reader)
+                    .pack()
+            })
+            .collect();
+        let mut got = labels.clone();
+        advance_lanes(&mut got, &words[..labels.len() * stride], stride, len, mode);
+        prop_assert_eq!(got, expect);
     }
 }
