@@ -14,6 +14,23 @@
 //! implement both that variant ([`GlibcVariant::AdditiveFeedback`], the
 //! default — bit-exact against glibc, see the known-answer tests) and the
 //! legacy TYPE_0 LCG ([`GlibcVariant::Lcg`]).
+//!
+//! glibc draws TYPE_3 from a ring: each `rand()` adds two table entries
+//! and wraps two ring indices. We generate it in blocks instead. The
+//! 31-word lag table is kept in chronological order (`t[0]` oldest), so
+//! one block step replaces all 31 values with the next 31 of the
+//! sequence in place, without indices to wrap:
+//!
+//! ```text
+//! t[i] += t[28 + i]   for i < 3        (lag 3 reaches back into the old block)
+//! t[i] += t[i - 3]    for 3 <= i < 31  (lag 3 reaches a value just written)
+//! ```
+//!
+//! and a draw is `t[pos] >> 1`. Right after seeding the table is glibc's
+//! array rotated left by 3, because glibc overwrites `r[3], …, r[30], r[0],
+//! r[1], r[2]` in that order. The 310-draw warm-up is exactly ten blocks,
+//! after which the cursor sits at the end of the table, so the first draw
+//! starts block eleven. Every draw equals glibc's.
 
 use rand_core::{impls, Error, RngCore, SeedableRng};
 
@@ -40,10 +57,12 @@ const SEP: usize = 3;
 #[derive(Clone, Debug)]
 pub struct GlibcRand {
     variant: GlibcVariant,
-    /// TYPE_3 lag table (unused by the LCG variant).
+    /// TYPE_3 lag table in chronological order: `table[0]` is the oldest
+    /// of the last 31 values, `table[30]` the newest (unused by the LCG
+    /// variant).
     table: [u32; DEG],
-    f: usize,
-    r: usize,
+    /// Index of the next draw in `table`; `DEG` once the block is spent.
+    pos: usize,
     /// TYPE_0 state (unused by the additive-feedback variant).
     lcg_state: u32,
 }
@@ -53,33 +72,52 @@ impl GlibcRand {
     pub fn with_variant(seed: u32, variant: GlibcVariant) -> Self {
         // glibc maps seed 0 to 1.
         let seed = if seed == 0 { 1 } else { seed };
-        let mut table = [0u32; DEG];
-        table[0] = seed;
+        let mut state = [0u32; DEG];
+        state[0] = seed;
         // Lehmer LCG `16807 * s mod (2^31 - 1)` via Schrage's method, exactly
         // as glibc's __initstate_r does (including the negative-word fixup).
         for i in 1..DEG {
-            let prev = table[i - 1] as i64;
+            let prev = state[i - 1] as i64;
             let hi = prev / 127_773;
             let lo = prev % 127_773;
             let mut word = 16_807 * lo - 2_836 * hi;
             if word < 0 {
                 word += 2_147_483_647;
             }
-            table[i] = word as u32;
+            state[i] = word as u32;
         }
+        // glibc's first draw overwrites `state[SEP]`, so the chronological
+        // table starts there.
+        state.rotate_left(SEP);
         let mut g = Self {
             variant,
-            table,
-            f: SEP,
-            r: 0,
+            table: state,
+            pos: DEG,
             lcg_state: seed,
         };
         if variant == GlibcVariant::AdditiveFeedback {
-            for _ in 0..(DEG * 10) {
-                g.next_rand();
+            // glibc discards 310 draws: ten whole blocks. The cursor stays
+            // at the end, so the first draw runs block eleven.
+            for _ in 0..10 {
+                g.next_block();
             }
         }
         g
+    }
+
+    /// Replaces the 31 table values with the next 31 of the sequence
+    /// (`r[i] = r[i-31] + r[i-3]`), oldest first (outlined: runs once per
+    /// 31 draws, and keeps [`GlibcRand::next_rand`] small enough to
+    /// inline).
+    #[cold]
+    fn next_block(&mut self) {
+        let t = &mut self.table;
+        for i in 0..SEP {
+            t[i] = t[i].wrapping_add(t[DEG - SEP + i]);
+        }
+        for i in SEP..DEG {
+            t[i] = t[i].wrapping_add(t[i - SEP]);
+        }
     }
 
     /// Equivalent of `srand(seed)` with the default (additive feedback)
@@ -93,10 +131,12 @@ impl GlibcRand {
     pub fn next_rand(&mut self) -> u32 {
         match self.variant {
             GlibcVariant::AdditiveFeedback => {
-                let val = self.table[self.f].wrapping_add(self.table[self.r]);
-                self.table[self.f] = val;
-                self.f = if self.f + 1 >= DEG { 0 } else { self.f + 1 };
-                self.r = if self.r + 1 >= DEG { 0 } else { self.r + 1 };
+                if self.pos == DEG {
+                    self.next_block();
+                    self.pos = 0;
+                }
+                let val = self.table[self.pos];
+                self.pos += 1;
                 val >> 1
             }
             GlibcVariant::Lcg => {
@@ -112,6 +152,7 @@ impl GlibcRand {
 }
 
 impl RngCore for GlibcRand {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         // Two 31-bit draws: high 16 bits of each are the best bits glibc
         // offers (the LCG variant's low bits alternate parity).
@@ -120,6 +161,7 @@ impl RngCore for GlibcRand {
         ((a >> 15) << 16) | (b >> 15)
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         ((self.next_u32() as u64) << 32) | self.next_u32() as u64
     }

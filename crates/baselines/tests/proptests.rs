@@ -30,6 +30,87 @@ fn check_contract<R: RngCore + SeedableRng + Clone>(seed: u64) -> Result<(), Tes
     Ok(())
 }
 
+/// glibc TYPE_3 drawn the way glibc draws it: a 31-word ring with a
+/// front index `f` and a rear index `r`, both wrapped on every draw. This
+/// is `GlibcRand`'s ring code from before the block form, kept verbatim as
+/// the reference the block form must equal.
+#[derive(Clone)]
+struct RingGlibc {
+    table: [u32; DEG],
+    f: usize,
+    r: usize,
+}
+
+const DEG: usize = 31;
+const SEP: usize = 3;
+
+impl RingGlibc {
+    fn new(seed: u32) -> Self {
+        // glibc maps seed 0 to 1.
+        let seed = if seed == 0 { 1 } else { seed };
+        let mut table = [0u32; DEG];
+        table[0] = seed;
+        // Lehmer LCG `16807 * s mod (2^31 - 1)` via Schrage's method, exactly
+        // as glibc's __initstate_r does (including the negative-word fixup).
+        for i in 1..DEG {
+            let prev = table[i - 1] as i64;
+            let hi = prev / 127_773;
+            let lo = prev % 127_773;
+            let mut word = 16_807 * lo - 2_836 * hi;
+            if word < 0 {
+                word += 2_147_483_647;
+            }
+            table[i] = word as u32;
+        }
+        let mut g = Self {
+            table,
+            f: SEP,
+            r: 0,
+        };
+        for _ in 0..(DEG * 10) {
+            g.next_rand();
+        }
+        g
+    }
+
+    fn next_rand(&mut self) -> u32 {
+        let val = self.table[self.f].wrapping_add(self.table[self.r]);
+        self.table[self.f] = val;
+        self.f = if self.f + 1 >= DEG { 0 } else { self.f + 1 };
+        self.r = if self.r + 1 >= DEG { 0 } else { self.r + 1 };
+        val >> 1
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        let a = self.next_rand();
+        let b = self.next_rand();
+        ((a >> 15) << 16) | (b >> 15)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
+    }
+}
+
+/// Makes one call of kind `op` (`next_rand`, `next_u32` or `next_u64`) on
+/// both generators, checks they agree, and returns the draws it took.
+fn same_call(block: &mut GlibcRand, ring: &mut RingGlibc, op: u8) -> Result<usize, TestCaseError> {
+    match op {
+        0 => {
+            prop_assert_eq!(block.next_rand(), ring.next_rand());
+            Ok(1)
+        }
+        1 => {
+            prop_assert_eq!(block.next_u32(), ring.next_u32());
+            Ok(2)
+        }
+        _ => {
+            prop_assert_eq!(block.next_u64(), ring.next_u64());
+            Ok(4)
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn glibc_contract(seed in any::<u64>()) { check_contract::<GlibcRand>(seed)?; }
@@ -101,5 +182,36 @@ proptest! {
         for _ in 0..256 {
             prop_assert!(g.next_rand() <= 0x7fff_ffff);
         }
+    }
+
+    /// Block-generated glibc equals the per-draw ring form: for any seed,
+    /// 0 included, over a mix of `next_rand`, `next_u32` and `next_u64`
+    /// calls spanning at least three blocks. A clone taken mid-block
+    /// continues the same stream.
+    #[test]
+    fn glibc_blocks_equal_the_ring_form(
+        seed in any::<u32>(),
+        zero_seed in 0u8..4,
+        ops in prop::collection::vec(0u8..3, 93..160),
+        cut in any::<usize>(),
+    ) {
+        let seed = if zero_seed == 0 { 0 } else { seed };
+        let mut block = GlibcRand::new(seed);
+        let mut ring = RingGlibc::new(seed);
+        let cut = cut % ops.len();
+        let mut draws = 0;
+        for (i, &op) in ops.iter().enumerate() {
+            if i == cut {
+                if draws % DEG == 0 {
+                    draws += same_call(&mut block, &mut ring, 0)?;
+                }
+                let (mut block_clone, mut ring_clone) = (block.clone(), ring.clone());
+                for &op in &ops[i..] {
+                    same_call(&mut block_clone, &mut ring_clone, op)?;
+                }
+            }
+            draws += same_call(&mut block, &mut ring, op)?;
+        }
+        prop_assert!(draws >= 3 * DEG);
     }
 }

@@ -7,7 +7,11 @@
 //! This module provides the equivalent machinery:
 //!
 //! * [`BitSource`] — anything that can refill a buffer of raw 64-bit words.
-//! * [`TriBitReader`] — slices a `BitSource` into consecutive 3-bit chunks.
+//! * [`TriBitReader`] — slices a `BitSource` into consecutive 3-bit chunks,
+//!   one at a time ([`TriBitReader::next3`]) or as a run of up to 21 from
+//!   one word ([`TriBitReader::next_run`]). The walk's fast path steps
+//!   through runs from a register, so the reader's fields are loaded and
+//!   stored once per run rather than once per step.
 //! * [`SliceBitSource`] — a source backed by a fixed slice (cycling), used in
 //!   tests and for replaying recorded bit streams.
 
@@ -144,6 +148,31 @@ impl<S: BitSource> TriBitReader<S> {
         chunk
     }
 
+    /// Hands out the next run of up to `max` chunks at once: returns the
+    /// shift register, low chunk first, and the run length
+    /// `n = min(max, chunks left in the current word)`, and advances the
+    /// cursor past those `n` chunks.
+    ///
+    /// A run never crosses a word, so its `n` chunks are the low `3n` bits
+    /// of the register and the word's dropped top bit is never among them;
+    /// the bits above the run belong to later chunks and must be ignored.
+    /// The current word is reloaded first if it is spent, so `n` is zero
+    /// only when `max` is. A caller that steps from a local copy of the
+    /// register keeps the reader's fields out of its per-chunk loop.
+    #[inline]
+    pub fn next_run(&mut self, max: u32) -> (u64, u32) {
+        if self.chunks_left == 0 {
+            self.reload();
+        }
+        let run = self.current;
+        let n = max.min(self.chunks_left);
+        // `n <= 21`, so the shift stays below 64.
+        self.current >>= 3 * n;
+        self.chunks_left -= n;
+        self.consumed += u64::from(n);
+        (run, n)
+    }
+
     /// Loads the next word into the shift register, refilling the buffer
     /// from the source when it is exhausted (outlined: runs once per 21
     /// chunks).
@@ -266,6 +295,23 @@ mod tests {
         for _ in 0..CHUNKS_PER_WORD {
             assert_eq!(r.next3(), 0);
         }
+    }
+
+    #[test]
+    fn next_run_stops_at_the_word_boundary() {
+        // Chunk 20 of the first word is 0b101; its top bit is set.
+        let words = [0b010_001u64 | (0b1101 << 60), 0b111];
+        let mut r = TriBitReader::new(SliceBitSource::new(&words));
+        let (run, n) = r.next_run(2);
+        assert_eq!((run & 0b111_111, n), (0b010_001, 2));
+        // 19 chunks are left in the first word, whatever the request.
+        let (run, n) = r.next_run(64);
+        assert_eq!(((run >> 54) & 0b111, n), (0b101, 19));
+        assert_eq!(r.chunks_consumed(), 21);
+        // The next run starts on the second word, not on the top bit.
+        assert_eq!(r.next_run(1), (0b111, 1));
+        assert_eq!(r.next3(), 0);
+        assert_eq!(r.chunks_consumed(), 23);
     }
 
     #[test]

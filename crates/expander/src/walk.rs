@@ -190,13 +190,23 @@ impl Walk {
     ///
     /// The default policy pair (mask-with-self-loop, directed) takes a
     /// branch-lean fast path — this is the innermost loop of the entire
-    /// generator.
+    /// generator. It takes chunks a run at a time
+    /// ([`TriBitReader::next_run`], up to 21 from one word) and steps
+    /// through each run from a register, so the only chain left is the
+    /// vertex's own, one [`GabberGalil::step_masked`] per step. It reads
+    /// exactly the chunks `len` calls of [`Walk::step_with`] would.
     pub fn advance<S: BitSource>(&mut self, len: u32, bits: &mut TriBitReader<S>) -> Vertex {
         if self.sampling == NeighborSampling::MaskWithSelfLoop && self.mode == WalkMode::Directed {
             let g = self.graph;
             let mut pos = self.pos;
-            for _ in 0..len {
-                pos = g.step_masked(pos, bits.next3());
+            let mut left = len;
+            while left > 0 {
+                let (mut run, n) = bits.next_run(left);
+                for _ in 0..n {
+                    pos = g.step_masked(pos, (run & 0b111) as u8);
+                    run >>= 3;
+                }
+                left -= n;
             }
             self.pos = pos;
             self.steps += len as u64;

@@ -104,6 +104,38 @@ proptest! {
         prop_assert_eq!(g.step_masked(v, chunk), expect);
     }
 
+    /// The run fast path of `Walk::advance` equals one
+    /// `step_choice(next3())` per step. Small refill buffers land reloads
+    /// inside runs, and chunks read before the walk start its runs
+    /// mid-word.
+    #[test]
+    fn advance_runs_equal_per_step_reference(
+        start in any::<u64>(),
+        words in prop::collection::vec(any::<u64>(), 1..7),
+        buf_words in 1usize..5,
+        before in 0usize..46,
+        len in 0u32..201,
+    ) {
+        let mut fast_bits = TriBitReader::with_buffer(SliceBitSource::new(&words), buf_words);
+        let mut slow_bits = TriBitReader::with_buffer(SliceBitSource::new(&words), buf_words);
+        for _ in 0..before {
+            fast_bits.next3();
+            slow_bits.next3();
+        }
+        let mut fast = Walk::paper_default(Vertex::unpack(start));
+        let mut slow = Walk::paper_default(Vertex::unpack(start));
+        fast.advance(len, &mut fast_bits);
+        for _ in 0..len {
+            slow.step_choice(slow_bits.next3());
+        }
+        prop_assert_eq!(fast.position(), slow.position());
+        prop_assert_eq!(fast.steps_taken(), slow.steps_taken());
+        prop_assert_eq!(fast_bits.chunks_consumed(), slow_bits.chunks_consumed());
+        let fast_next: Vec<u8> = (0..5).map(|_| fast_bits.next3()).collect();
+        let slow_next: Vec<u8> = (0..5).map(|_| slow_bits.next3()).collect();
+        prop_assert_eq!(fast_next, slow_next);
+    }
+
     /// `step_choice` only ever moves to one of the 7 neighbours or stays.
     #[test]
     fn step_lands_on_a_neighbor(start in any::<u64>(), choice in 0u8..8) {
