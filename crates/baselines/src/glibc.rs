@@ -10,10 +10,12 @@
 //! r[i] = (r[i-3] + r[i-31]) mod 2^32,   output = r[i] >> 1
 //! ```
 //!
-//! seeded from a Lehmer LCG and warmed up by discarding 310 outputs. We
-//! implement both that variant ([`GlibcVariant::AdditiveFeedback`], the
-//! default — bit-exact against glibc, see the known-answer tests) and the
-//! legacy TYPE_0 LCG ([`GlibcVariant::Lcg`]).
+//! seeded from a Lehmer LCG and warmed up by discarding 310 outputs.
+//! [`GlibcRand`] is that generator alone, bit-exact against glibc (see the
+//! known-answer tests); it feeds every scalar walk lane, so its draw path
+//! carries no other variant. The legacy TYPE_0 LCG, which only the
+//! quality tables and a known-bad monitor reference stream run, is its own
+//! type, [`GlibcLcg`].
 //!
 //! glibc draws TYPE_3 from a ring: each `rand()` adds two table entries
 //! and wraps two ring indices. We generate it in blocks instead. The
@@ -34,21 +36,10 @@
 
 use rand_core::{impls, Error, RngCore, SeedableRng};
 
-/// Which of glibc's two historical `rand()` algorithms to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum GlibcVariant {
-    /// TYPE_3 additive feedback generator (glibc's default since forever).
-    #[default]
-    AdditiveFeedback,
-    /// TYPE_0 linear congruential generator
-    /// (`state = state * 1103515245 + 12345 mod 2^31`).
-    Lcg,
-}
-
 const DEG: usize = 31;
 const SEP: usize = 3;
 
-/// glibc's `rand()`, bit-exact.
+/// glibc's `rand()`, bit-exact: the TYPE_3 additive feedback generator.
 ///
 /// [`RngCore::next_u32`] composes two 31-bit draws (glibc outputs are in
 /// `0..2^31`), which is how applications that need full words consume
@@ -56,20 +47,16 @@ const SEP: usize = 3;
 /// sequence for known-answer comparisons.
 #[derive(Clone, Debug)]
 pub struct GlibcRand {
-    variant: GlibcVariant,
-    /// TYPE_3 lag table in chronological order: `table[0]` is the oldest
-    /// of the last 31 values, `table[30]` the newest (unused by the LCG
-    /// variant).
+    /// Lag table in chronological order: `table[0]` is the oldest of the
+    /// last 31 values, `table[30]` the newest.
     table: [u32; DEG],
     /// Index of the next draw in `table`; `DEG` once the block is spent.
     pos: usize,
-    /// TYPE_0 state (unused by the additive-feedback variant).
-    lcg_state: u32,
 }
 
 impl GlibcRand {
-    /// Equivalent of `srand(seed)` for the chosen variant.
-    pub fn with_variant(seed: u32, variant: GlibcVariant) -> Self {
+    /// Equivalent of `srand(seed)`.
+    pub fn new(seed: u32) -> Self {
         // glibc maps seed 0 to 1.
         let seed = if seed == 0 { 1 } else { seed };
         let mut state = [0u32; DEG];
@@ -90,17 +77,13 @@ impl GlibcRand {
         // table starts there.
         state.rotate_left(SEP);
         let mut g = Self {
-            variant,
             table: state,
             pos: DEG,
-            lcg_state: seed,
         };
-        if variant == GlibcVariant::AdditiveFeedback {
-            // glibc discards 310 draws: ten whole blocks. The cursor stays
-            // at the end, so the first draw runs block eleven.
-            for _ in 0..10 {
-                g.next_block();
-            }
+        // glibc discards 310 draws: ten whole blocks. The cursor stays at
+        // the end, so the first draw runs block eleven.
+        for _ in 0..10 {
+            g.next_block();
         }
         g
     }
@@ -120,34 +103,16 @@ impl GlibcRand {
         }
     }
 
-    /// Equivalent of `srand(seed)` with the default (additive feedback)
-    /// algorithm.
-    pub fn new(seed: u32) -> Self {
-        Self::with_variant(seed, GlibcVariant::default())
-    }
-
     /// One call to `rand()`: a value in `0 ..= RAND_MAX` (`2^31 - 1`).
     #[inline]
     pub fn next_rand(&mut self) -> u32 {
-        match self.variant {
-            GlibcVariant::AdditiveFeedback => {
-                if self.pos == DEG {
-                    self.next_block();
-                    self.pos = 0;
-                }
-                let val = self.table[self.pos];
-                self.pos += 1;
-                val >> 1
-            }
-            GlibcVariant::Lcg => {
-                self.lcg_state = self
-                    .lcg_state
-                    .wrapping_mul(1_103_515_245)
-                    .wrapping_add(12_345)
-                    & 0x7fff_ffff;
-                self.lcg_state
-            }
+        if self.pos == DEG {
+            self.next_block();
+            self.pos = 0;
         }
+        let val = self.table[self.pos];
+        self.pos += 1;
+        val >> 1
     }
 }
 
@@ -155,7 +120,7 @@ impl RngCore for GlibcRand {
     #[inline]
     fn next_u32(&mut self) -> u32 {
         // Two 31-bit draws: high 16 bits of each are the best bits glibc
-        // offers (the LCG variant's low bits alternate parity).
+        // offers.
         let a = self.next_rand();
         let b = self.next_rand();
         ((a >> 15) << 16) | (b >> 15)
@@ -185,6 +150,35 @@ impl SeedableRng for GlibcRand {
 
     fn seed_from_u64(state: u64) -> Self {
         Self::new(state as u32 ^ (state >> 32) as u32)
+    }
+}
+
+/// glibc's legacy TYPE_0 `rand()`: the linear congruential generator
+/// `state = state * 1103515245 + 12345 mod 2^31`, bit-exact.
+///
+/// glibc runs it only when `initstate` is given fewer than 32 bytes of
+/// state. Its lowest bit alternates with period 2: the quality tables run
+/// it as a comparison row, and the monitor packs its low bits into a
+/// known-bad reference stream.
+#[derive(Clone, Debug)]
+pub struct GlibcLcg {
+    state: u32,
+}
+
+impl GlibcLcg {
+    /// Equivalent of `srand(seed)` for the TYPE_0 state (seed 0 becomes 1,
+    /// as in glibc).
+    pub fn new(seed: u32) -> Self {
+        Self {
+            state: if seed == 0 { 1 } else { seed },
+        }
+    }
+
+    /// One call to `rand()`: a value in `0 ..= RAND_MAX` (`2^31 - 1`).
+    #[inline]
+    pub fn next_rand(&mut self) -> u32 {
+        self.state = self.state.wrapping_mul(1_103_515_245).wrapping_add(12_345) & 0x7fff_ffff;
+        self.state
     }
 }
 
@@ -232,9 +226,18 @@ mod tests {
     }
 
     #[test]
+    fn lcg_seed_zero_behaves_like_seed_one() {
+        let mut a = GlibcLcg::new(0);
+        let mut b = GlibcLcg::new(1);
+        for _ in 0..16 {
+            assert_eq!(a.next_rand(), b.next_rand());
+        }
+    }
+
+    #[test]
     fn lcg_variant_known_answer() {
         // TYPE_0: seed 1 → first output 1103527590 (1*1103515245 + 12345).
-        let mut g = GlibcRand::with_variant(1, GlibcVariant::Lcg);
+        let mut g = GlibcLcg::new(1);
         assert_eq!(g.next_rand(), 1_103_527_590);
         // Second output: (1103527590 * 1103515245 + 12345) mod 2^31.
         assert_eq!(g.next_rand(), 377_401_575);
@@ -246,7 +249,7 @@ mod tests {
         for _ in 0..1000 {
             assert!(g.next_rand() <= 0x7fff_ffff);
         }
-        let mut l = GlibcRand::with_variant(7, GlibcVariant::Lcg);
+        let mut l = GlibcLcg::new(7);
         for _ in 0..1000 {
             assert!(l.next_rand() <= 0x7fff_ffff);
         }
@@ -257,7 +260,7 @@ mod tests {
         // The classic TYPE_0 defect the paper alludes to when ranking
         // glibc's quality last: the LCG's lowest bit is periodic with a tiny
         // period (it alternates).
-        let mut g = GlibcRand::with_variant(123, GlibcVariant::Lcg);
+        let mut g = GlibcLcg::new(123);
         let bits: Vec<u32> = (0..16).map(|_| g.next_rand() & 1).collect();
         for w in bits.windows(2) {
             assert_ne!(w[0], w[1], "TYPE_0 low bit should alternate");

@@ -7,7 +7,8 @@
 //!
 //! | Type | Paper role |
 //! |------|-----------|
-//! | [`GlibcRand`] | the CPU `rand()` used to seed the hybrid PRNG and as the Table I/II/Figure 6 baseline |
+//! | [`GlibcRand`] | the CPU `rand()` (glibc's default TYPE_3 generator) used to seed the hybrid PRNG and as the Table I/II/Figure 6 baseline |
+//! | [`GlibcLcg`] | glibc's legacy TYPE_0 LCG `rand()`, a Table II comparison row and a known-bad monitor stream |
 //! | [`Lcg64`] | the "naive LCG" quality floor |
 //! | [`Mt19937`], [`Mt19937_64`] | the CUDA-SDK Mersenne-Twister comparator (Figures 3 and 7) |
 //! | [`Xorwow`] | CURAND's default device generator (Figures 3, Tables II/III) |
@@ -35,7 +36,7 @@ mod philox;
 mod splitmix;
 mod xorwow;
 
-pub use glibc::{GlibcRand, GlibcVariant};
+pub use glibc::{GlibcLcg, GlibcRand};
 pub use kiss::Kiss;
 pub use lcg::Lcg64;
 pub use locked::LockedGlibcRand;

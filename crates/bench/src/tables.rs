@@ -2,7 +2,7 @@
 
 use crate::print_table;
 use crate::simsupport::simulate_cudpp_md5;
-use hprng_baselines::{GlibcRand, GlibcVariant, Md5Rand, Mt19937_64, Xorwow};
+use hprng_baselines::{GlibcLcg, GlibcRand, Md5Rand, Mt19937_64, Xorwow};
 use hprng_core::{
     simulate_curand_device, simulate_mt_batch, CostModel, ExpanderWalkRng, HybridParams, HybridPrng,
 };
@@ -25,12 +25,13 @@ pub const GENERATORS: [&str; 5] = [
 /// two calls, one for each half. This exposes the generator's real low
 /// bits to the battery — the stream quality Table II is about — instead of
 /// the flattering high-bit composition `GlibcRand`'s `RngCore` uses for
-/// general-purpose work.
-struct RawGlibc(GlibcRand);
+/// general-purpose work. It wraps either glibc generator as its
+/// `rand()` call.
+struct RawGlibc<R: FnMut() -> u32>(R);
 
-impl RngCore for RawGlibc {
+impl<R: FnMut() -> u32> RngCore for RawGlibc<R> {
     fn next_u32(&mut self) -> u32 {
-        (self.0.next_rand() << 16) | (self.0.next_rand() & 0xFFFF)
+        ((self.0)() << 16) | ((self.0)() & 0xFFFF)
     }
     fn next_u64(&mut self) -> u64 {
         ((self.next_u32() as u64) << 32) | self.next_u32() as u64
@@ -47,11 +48,14 @@ impl RngCore for RawGlibc {
 /// Builds generator `name` seeded with `seed`.
 pub fn make_generator(name: &str, seed: u64) -> Box<dyn RngCore> {
     match name {
-        "glibc rand()" => Box::new(RawGlibc(GlibcRand::new(seed as u32))),
-        "glibc LCG (TYPE_0)" => Box::new(RawGlibc(GlibcRand::with_variant(
-            seed as u32,
-            GlibcVariant::Lcg,
-        ))),
+        "glibc rand()" => {
+            let mut g = GlibcRand::new(seed as u32);
+            Box::new(RawGlibc(move || g.next_rand()))
+        }
+        "glibc LCG (TYPE_0)" => {
+            let mut g = GlibcLcg::new(seed as u32);
+            Box::new(RawGlibc(move || g.next_rand()))
+        }
         "CURAND" => Box::new(Xorwow::new(seed)),
         "CUDPP" => Box::new(Md5Rand::new(seed)),
         "M.Twister" => Box::new(Mt19937_64::new(seed)),

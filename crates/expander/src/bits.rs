@@ -9,9 +9,10 @@
 //! * [`BitSource`] — anything that can refill a buffer of raw 64-bit words.
 //! * [`TriBitReader`] — slices a `BitSource` into consecutive 3-bit chunks,
 //!   one at a time ([`TriBitReader::next3`]) or as a run of up to 21 from
-//!   one word ([`TriBitReader::next_run`]). The walk's fast path steps
-//!   through runs from a register, so the reader's fields are loaded and
-//!   stored once per run rather than once per step.
+//!   one word ([`TriBitReader::next_run`]). The walk's fast path keeps a
+//!   run in a register and takes its chunks three at a time, as the nine
+//!   bits that index its table of three-step maps, so the reader's fields
+//!   are loaded and stored once per run rather than once per step.
 //! * [`SliceBitSource`] — a source backed by a fixed slice (cycling), used in
 //!   tests and for replaying recorded bit streams.
 

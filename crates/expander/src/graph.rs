@@ -76,17 +76,33 @@ impl GabberGalil {
     /// both candidate vertices and selecting one. The 8-lane kernel
     /// ([`crate::advance_lanes`]) keeps the select form: over its vector
     /// lanes the masked adds measured up to twice as slow.
+    ///
+    /// It is `const` because it also defines the scalar walk's table of
+    /// three-step maps, which is evaluated from it at compile time:
+    /// [`crate::Walk::advance`] takes three steps per table lookup and
+    /// calls this only for the zero to two chunks a run has left over.
     #[inline(always)]
-    pub fn step_masked(self, v: Vertex, chunk: u8) -> Vertex {
+    pub const fn step_masked(self, v: Vertex, chunk: u8) -> Vertex {
         let c = chunk as u32;
         let Vertex { x, y } = v;
         // Class selectors: c ∈ 1..=3 moves y, c ∈ 4..=6 moves x,
         // c ∈ {0, 7} keeps the vertex.
-        let mask_y = 0u32.wrapping_sub(u32::from(c.wrapping_sub(1) < 3));
-        let mask_x = 0u32.wrapping_sub(u32::from(c.wrapping_sub(4) < 3));
+        let mask_y = 0u32.wrapping_sub((c.wrapping_sub(1) < 3) as u32);
+        let mask_x = 0u32.wrapping_sub((c.wrapping_sub(4) < 3) as u32);
         let dx = y.wrapping_mul(2).wrapping_add(c.wrapping_sub(4));
         let dy = x.wrapping_mul(2).wrapping_add(c.wrapping_sub(1));
         Vertex::new(x.wrapping_add(dx & mask_x), y.wrapping_add(dy & mask_y))
+    }
+
+    /// Three [`GabberGalil::step_masked`] steps in one table lookup: the
+    /// steps driven by chunks `chunks & 7`, `(chunks >> 3) & 7` and
+    /// `(chunks >> 6) & 7`, low chunk first. Bits above the ninth are
+    /// ignored.
+    #[inline(always)]
+    pub(crate) fn step3(self, v: Vertex, chunks: u64) -> Vertex {
+        // The mask keeps the index below the table length, so the
+        // lookup carries no bounds check.
+        STEP3[(chunks & 0x1ff) as usize].apply(v)
     }
 
     /// Returns the unique `u` with `neighbor(u, k) == v` — the reverse edge
@@ -110,6 +126,84 @@ impl GabberGalil {
         }
     }
 }
+
+/// Three walk steps composed into one affine map of `(x, y)` over
+/// `Z/2^32`: `x' = a·x + b·y + e` and `y' = c·x + d·y + f`.
+///
+/// Every mask-with-self-loop step is such a map (a shear plus a
+/// constant, or the identity), so any three compose into one. On a
+/// scalar lane the composed map puts one multiply and two adds on the
+/// vertex's dependency chain per three steps, where three masked steps
+/// put three shift-add, mask and add sequences on it.
+#[derive(Clone, Copy)]
+struct StepMap {
+    a: u32,
+    b: u32,
+    c: u32,
+    d: u32,
+    e: u32,
+    f: u32,
+}
+
+impl StepMap {
+    /// The three steps driven by the chunks of `index`, low chunk first.
+    ///
+    /// An affine map is fixed by its values at `(0, 0)`, `(1, 0)` and
+    /// `(0, 1)`: those give the constants and the two columns. So the
+    /// map is read off three runs of [`GabberGalil::step_masked`] itself,
+    /// and the table cannot drift from the step it replaces.
+    const fn of_chunks(index: usize) -> Self {
+        let o = three_steps(Vertex::new(0, 0), index);
+        let ex = three_steps(Vertex::new(1, 0), index);
+        let ey = three_steps(Vertex::new(0, 1), index);
+        Self {
+            a: ex.x.wrapping_sub(o.x),
+            b: ey.x.wrapping_sub(o.x),
+            c: ex.y.wrapping_sub(o.y),
+            d: ey.y.wrapping_sub(o.y),
+            e: o.x,
+            f: o.y,
+        }
+    }
+
+    /// The map's image of `v`, with wrapping arithmetic.
+    #[inline(always)]
+    fn apply(self, v: Vertex) -> Vertex {
+        Vertex::new(
+            self.a
+                .wrapping_mul(v.x)
+                .wrapping_add(self.b.wrapping_mul(v.y))
+                .wrapping_add(self.e),
+            self.c
+                .wrapping_mul(v.x)
+                .wrapping_add(self.d.wrapping_mul(v.y))
+                .wrapping_add(self.f),
+        )
+    }
+}
+
+/// Three [`GabberGalil::step_masked`] steps from `v`, driven by the low
+/// nine bits of `index`, low chunk first.
+const fn three_steps(v: Vertex, index: usize) -> Vertex {
+    let g = GabberGalil;
+    let v = g.step_masked(v, (index & 7) as u8);
+    let v = g.step_masked(v, ((index >> 3) & 7) as u8);
+    g.step_masked(v, ((index >> 6) & 7) as u8)
+}
+
+/// Every run of three chunks as one [`StepMap`] (512 entries, 12 KiB):
+/// entry `i` is the steps driven by chunks `i & 7`, then `(i >> 3) & 7`,
+/// then `i >> 6`, the order in which the chunk reader hands them out.
+/// Evaluated at compile time.
+static STEP3: [StepMap; 512] = {
+    let mut table = [StepMap::of_chunks(0); 512];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = StepMap::of_chunks(i);
+        i += 1;
+    }
+    table
+};
 
 /// A Gabber–Galil graph with an arbitrary modulus `m`, used for analysis on
 /// graphs small enough to enumerate.
@@ -333,6 +427,28 @@ mod tests {
                 assert_eq!(g.step_masked(v, k), g.neighbor(v, k), "k={k} v={v:?}");
             }
             assert_eq!(g.step_masked(v, 7), v, "chunk 7 must self-loop");
+        }
+    }
+
+    #[test]
+    fn step_table_equals_three_masked_steps() {
+        let g = GabberGalil;
+        let vs = [
+            Vertex::new(0, 0),
+            Vertex::new(1, 1),
+            Vertex::new(u32::MAX, u32::MAX),
+            Vertex::new(0x8000_0000, 0x7fff_ffff),
+            Vertex::new(0xdead_beef, 0x1234_5678),
+            Vertex::new(0x9e37_79b9, 0x7f4a_7c15),
+            Vertex::new(0x0bad_cafe, 0xf00d_0001),
+        ];
+        for (i, map) in STEP3.iter().enumerate() {
+            for v in vs {
+                let want = (0..3).fold(v, |w, k| g.step_masked(w, ((i >> (3 * k)) & 7) as u8));
+                assert_eq!(map.apply(v), want, "entry {i} at {v:?}");
+                // Bits above the ninth belong to later chunks.
+                assert_eq!(g.step3(v, i as u64 | 0xbeef << 9), want, "step3 {i}");
+            }
         }
     }
 }

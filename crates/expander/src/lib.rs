@@ -17,7 +17,9 @@
 //! * [`GabberGalil`] — the seven neighbour maps of the production graph and
 //!   their inverses, plus [`GabberGalilGeneric`] for any modulus.
 //! * [`Walk`] — a stateful random-walk cursor that consumes 3-bit neighbour
-//!   choices from a [`bits::TriBitReader`].
+//!   choices from a [`bits::TriBitReader`]; under the paper's default
+//!   policies it takes three steps per lookup in a compile-time table of
+//!   composed step maps.
 //! * [`advance_lanes`] — the multi-lane kernel: [`KERNEL_LANES`] walks
 //!   advanced in lock-step over per-lane word spans, each bit-identical to
 //!   [`Walk::advance`].

@@ -192,9 +192,15 @@ impl Walk {
     /// branch-lean fast path — this is the innermost loop of the entire
     /// generator. It takes chunks a run at a time
     /// ([`TriBitReader::next_run`], up to 21 from one word) and steps
-    /// through each run from a register, so the only chain left is the
-    /// vertex's own, one [`GabberGalil::step_masked`] per step. It reads
-    /// exactly the chunks `len` calls of [`Walk::step_with`] would.
+    /// through each run from a register. Every three chunks of a run index
+    /// a compile-time table of 512 three-step maps, each an affine map
+    /// `x' = a·x + b·y + e`, `y' = c·x + d·y + f` read off
+    /// [`GabberGalil::step_masked`], so the vertex's chain costs one
+    /// multiply and two adds per three steps; the zero to two chunks a run
+    /// has left over take one `step_masked` each. A run never crosses a
+    /// word, so no group reads a word's dropped top bit. It reads exactly
+    /// the chunks `len` calls of [`Walk::step_with`] would, and lands on
+    /// the same vertex.
     pub fn advance<S: BitSource>(&mut self, len: u32, bits: &mut TriBitReader<S>) -> Vertex {
         if self.sampling == NeighborSampling::MaskWithSelfLoop && self.mode == WalkMode::Directed {
             let g = self.graph;
@@ -202,7 +208,11 @@ impl Walk {
             let mut left = len;
             while left > 0 {
                 let (mut run, n) = bits.next_run(left);
-                for _ in 0..n {
+                for _ in 0..n / 3 {
+                    pos = g.step3(pos, run);
+                    run >>= 9;
+                }
+                for _ in 0..n % 3 {
                     pos = g.step_masked(pos, (run & 0b111) as u8);
                     run >>= 3;
                 }

@@ -104,6 +104,25 @@ proptest! {
         prop_assert_eq!(g.step_masked(v, chunk), expect);
     }
 
+    /// `Walk::advance` takes each whole group of three chunks through one
+    /// table lookup. The group at the start of a word must equal three
+    /// `step_masked` steps, low chunk first, whatever the word's later
+    /// chunks hold.
+    #[test]
+    fn step_table_equals_three_masked_steps(
+        label in any::<u64>(),
+        index in 0u64..512,
+        later in any::<u64>(),
+    ) {
+        let g = GabberGalil;
+        let start = Vertex::unpack(label);
+        let words = [index | later << 9];
+        let mut walk = Walk::paper_default(start);
+        walk.advance(3, &mut TriBitReader::new(SliceBitSource::new(&words)));
+        let expect = (0..3).fold(start, |v, k| g.step_masked(v, ((index >> (3 * k)) & 7) as u8));
+        prop_assert_eq!(walk.position(), expect);
+    }
+
     /// The run fast path of `Walk::advance` equals one
     /// `step_choice(next3())` per step. Small refill buffers land reloads
     /// inside runs, and chunks read before the walk start its runs

@@ -17,7 +17,7 @@
 //! expander-walk generator and `hprng-baselines`' MT19937-64, which must
 //! stay silent.
 
-use hprng_baselines::{GlibcRand, GlibcVariant};
+use hprng_baselines::GlibcLcg;
 
 /// A stream producing one fixed word forever.
 #[derive(Clone, Debug)]
@@ -41,14 +41,14 @@ impl ConstantStream {
 /// LSB first.
 #[derive(Clone, Debug)]
 pub struct GlibcLowBits {
-    rng: GlibcRand,
+    rng: GlibcLcg,
 }
 
 impl GlibcLowBits {
     /// Seeds the underlying LCG.
     pub fn new(seed: u32) -> Self {
         Self {
-            rng: GlibcRand::with_variant(seed, GlibcVariant::Lcg),
+            rng: GlibcLcg::new(seed),
         }
     }
 
