@@ -1,11 +1,9 @@
 //! Ablations of the design choices DESIGN.md calls out: walk length,
-//! raw-bit source, neighbour-sampling policy, and batch size (the last one
-//! is Figure 5 itself).
+//! raw-bit source, and batch size (the last one is Figure 5 itself).
 
 use crate::{ms, print_table};
 use hprng_baselines::{GlibcRand, Lcg64, SplitMix64};
 use hprng_core::{ExpanderWalkRng, RngBitSource, WalkParams};
-use hprng_expander::{NeighborSampling, WalkMode};
 use hprng_stattests::diehard::diehard_battery;
 use rand_core::RngCore;
 use std::time::Instant;
@@ -151,79 +149,14 @@ pub fn ablate_bit_source(scale: f64, seed: u64) {
     );
 }
 
-/// Sampling-policy ablation: mask-with-self-loop vs rejection, directed vs
-/// bipartite.
-pub fn ablate_sampling(scale: f64, seed: u64) {
-    let battery = diehard_battery(scale);
-    let variants = [
-        (
-            "mask+directed (paper)",
-            NeighborSampling::MaskWithSelfLoop,
-            WalkMode::Directed,
-        ),
-        (
-            "rejection+directed",
-            NeighborSampling::Rejection,
-            WalkMode::Directed,
-        ),
-        (
-            "mask+bipartite",
-            NeighborSampling::MaskWithSelfLoop,
-            WalkMode::Bipartite,
-        ),
-        (
-            "rejection+bipartite",
-            NeighborSampling::Rejection,
-            WalkMode::Bipartite,
-        ),
-    ];
-    let rows: Vec<Vec<String>> = variants
-        .iter()
-        .map(|&(name, sampling, mode)| {
-            let params = WalkParams::builder()
-                .sampling(sampling)
-                .mode(mode)
-                .build()
-                .unwrap();
-            let mut rng = ExpanderWalkRng::with_params(
-                RngBitSource::new(GlibcRand::new(seed as u32)),
-                params,
-            );
-            let report = battery.run(&mut rng);
-            let mut rng2 = ExpanderWalkRng::with_params(
-                RngBitSource::new(GlibcRand::new(seed as u32)),
-                params,
-            );
-            let t0 = Instant::now();
-            let mut acc = 0u64;
-            for _ in 0..500_000 {
-                acc ^= rng2.next_u64();
-            }
-            std::hint::black_box(acc);
-            vec![
-                name.to_string(),
-                format!("{}/{}", report.passed, report.total),
-                format!("{:.4}", report.ks_d),
-                ms(t0.elapsed().as_nanos() as f64),
-            ]
-        })
-        .collect();
-    print_table(
-        "Ablation: neighbour sampling and walk mode",
-        &["variant", "DIEHARD", "KS D", "500k numbers (ms)"],
-        &rows,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ablations_run_at_tiny_scale() {
-        // Smoke: the three ablations execute end to end.
+        // Smoke: the two ablations execute end to end.
         ablate_walk_len(&[8, 64], 0.05, 1);
         ablate_bit_source(0.05, 1);
-        ablate_sampling(0.05, 1);
     }
 }

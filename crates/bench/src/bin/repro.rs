@@ -12,7 +12,7 @@
 //! repro fig7 [--sizes a,b,c]          list-ranking Phase I
 //! repro fig8 [--photons a,b,c]        photon migration
 //! repro headline                      GNumbers/s
-//! repro ablate-walk-len | ablate-bit-source | ablate-sampling
+//! repro ablate-walk-len | ablate-bit-source
 //! repro trace                         instrumented run only
 //! repro bench --json-out <path>       machine-readable benchmark export
 //!             [--baseline <path>]     compare against a prior bench JSON;
@@ -54,6 +54,30 @@
 
 use hprng_bench::monitor_cmd::{MonitorGenerator, MonitorRunConfig};
 use hprng_bench::{ablations, benchjson, figures, monitor_cmd, pooldash, tables, trace};
+
+/// Every subcommand `main` dispatches; `ablate` runs both ablations.
+const COMMANDS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig7-device",
+    "fig8",
+    "headline",
+    "ablate",
+    "ablate-walk-len",
+    "ablate-bit-source",
+    "bench",
+    "monitor",
+    "pool-dash",
+    "chaos",
+    "trace",
+];
 
 struct Args {
     cmd: String,
@@ -109,6 +133,10 @@ fn parse_args() -> Args {
     let mut i = 0;
     if let Some(first) = argv.first() {
         if !first.starts_with("--") {
+            if !COMMANDS.contains(&first.as_str()) {
+                eprintln!("unknown command {first}; commands: {}", COMMANDS.join(", "));
+                std::process::exit(2);
+            }
             args.cmd = first.clone();
             i = 1;
         }
@@ -318,9 +346,6 @@ fn main() {
     }
     if run("ablate-bit-source") || args.cmd == "ablate" {
         ablations::ablate_bit_source(args.scale, args.seed);
-    }
-    if run("ablate-sampling") || args.cmd == "ablate" {
-        ablations::ablate_sampling(args.scale, args.seed);
     }
 
     // Machine-readable benchmark export (not part of `all`: it re-times

@@ -1,7 +1,6 @@
 //! Tunable parameters of the generator and of the simulated pipeline.
 
 use crate::error::HprngError;
-use hprng_expander::{NeighborSampling, WalkMode};
 
 /// Parameters of the random walk itself (Algorithms 1 and 2).
 ///
@@ -15,13 +14,10 @@ pub struct WalkParams {
     /// paper uses 64).
     pub warmup_len: u32,
     /// Walk length per generated number (Algorithm 2's `l`; the paper
-    /// uses 64). Shorter walks are faster but mix less — see the
+    /// uses 64). Every step reads one 3-bit chunk, so this is also the
+    /// chunks per number. Shorter walks are faster but mix less — see the
     /// walk-length ablation bench.
     pub walk_len: u32,
-    /// How 3-bit values map onto the 7 neighbours.
-    pub sampling: NeighborSampling,
-    /// Directed (paper pseudocode) or bipartite walking.
-    pub mode: WalkMode,
 }
 
 impl Default for WalkParams {
@@ -29,26 +25,14 @@ impl Default for WalkParams {
         Self {
             warmup_len: 64,
             walk_len: 64,
-            sampling: NeighborSampling::default(),
-            mode: WalkMode::default(),
         }
     }
 }
 
 impl WalkParams {
-    /// Raw 3-bit chunks needed per generated number.
-    ///
-    /// Exact for the mask-with-self-loop policy; an expected lower bound for
-    /// rejection sampling, which is why
-    /// [`Engine::initialize`](crate::Engine::initialize) refuses it.
-    #[inline]
-    pub fn chunks_per_number(&self) -> u64 {
-        self.walk_len as u64
-    }
-
     /// 64-bit words of raw bits a thread needs to produce one number
     /// (21 three-bit chunks fit in a word): an engine lane's span per
-    /// number, exact because the engine refuses rejection sampling.
+    /// number, exact because every step reads one chunk.
     #[inline]
     pub fn words_per_number(&self) -> usize {
         (self.walk_len as usize).div_ceil(hprng_expander::bits::CHUNKS_PER_WORD)
@@ -85,18 +69,6 @@ impl WalkParamsBuilder {
     /// Sets the walk length per generated number.
     pub fn walk_len(mut self, walk_len: u32) -> Self {
         self.params.walk_len = walk_len;
-        self
-    }
-
-    /// Sets how 3-bit values map onto the 7 neighbours.
-    pub fn sampling(mut self, sampling: NeighborSampling) -> Self {
-        self.params.sampling = sampling;
-        self
-    }
-
-    /// Sets directed or bipartite walking.
-    pub fn mode(mut self, mode: WalkMode) -> Self {
-        self.params.mode = mode;
         self
     }
 

@@ -19,7 +19,7 @@
 //! the cross-backend golden test pins.
 
 use crate::params::HybridParams;
-use hprng_expander::{advance_lanes, WalkMode, KERNEL_LANES};
+use hprng_expander::{advance_lanes, KERNEL_LANES};
 use hprng_gpu_sim::{Device, DeviceBuffer, Op, Resource, Stream, Timeline, WorkUnit};
 use hprng_telemetry::{Recorder, Stage};
 use rayon::prelude::*;
@@ -37,22 +37,14 @@ fn init_labels(threads: usize, bits: &[u64], params: &HybridParams, workers: usi
     let span = init_words_per_thread(params);
     let mut labels: Vec<u64> = bits.iter().step_by(span).take(threads).copied().collect();
     let warmup = bits.get(1..).unwrap_or_default();
-    let (len, mode) = (params.walk.warmup_len, params.walk.mode);
-    advance_spans(&mut labels, warmup, span, len, mode, workers);
+    advance_spans(&mut labels, warmup, span, params.walk.warmup_len, workers);
     labels
 }
 
 /// Advances lane `t` from `labels[t]` by `len` steps over the words
 /// `words[t * stride..]`. Each of the `workers` takes a run of whole
 /// kernel groups, so only the last group is partial.
-fn advance_spans(
-    labels: &mut [u64],
-    words: &[u64],
-    stride: usize,
-    len: u32,
-    mode: WalkMode,
-    workers: usize,
-) {
+fn advance_spans(labels: &mut [u64], words: &[u64], stride: usize, len: u32, workers: usize) {
     let chunk = labels.len().div_ceil(KERNEL_LANES).div_ceil(workers).max(1) * KERNEL_LANES;
     labels
         .par_chunks_mut(chunk)
@@ -60,7 +52,7 @@ fn advance_spans(
         .for_each(|(c, labels)| {
             for (g, group) in labels.chunks_mut(KERNEL_LANES).enumerate() {
                 let first = c * chunk + g * KERNEL_LANES;
-                advance_lanes(group, &words[first * stride..], stride, len, mode);
+                advance_lanes(group, &words[first * stride..], stride, len);
             }
         });
 }
@@ -214,10 +206,10 @@ impl Backend for DeviceBackend<'_> {
         stream.wait_until(stream.cursor_ns() + self.params.cost.kernel_launch_ns);
 
         let params = self.params;
-        let (len, mode) = (params.walk.walk_len, params.walk.mode);
+        let len = params.walk.walk_len;
         let states = &mut self.states.as_mut_slice()[..count];
         let workers = rayon::current_num_threads();
-        advance_spans(states, bits_host, words_per_thread, len, mode, workers);
+        advance_spans(states, bits_host, words_per_thread, len, workers);
         stream.launch_zip(WorkUnit::Generate, states, out, 1, |ctx, state, span| {
             span[0] = *state;
             ctx.charge(
@@ -297,7 +289,7 @@ impl Backend for CpuBackend {
         let walk = self.params.walk;
         let states = &mut self.states[..count];
         let stride = walk.words_per_number();
-        advance_spans(states, bits, stride, walk.walk_len, walk.mode, self.workers);
+        advance_spans(states, bits, stride, walk.walk_len, self.workers);
         out.copy_from_slice(states);
         recorder.finish_span(gen_span);
     }

@@ -11,7 +11,6 @@ use crate::error::HprngError;
 use crate::params::PipelineMode;
 use crate::pipeline::backend::{init_words_per_thread, Backend};
 use crate::pipeline::feed::BitFeed;
-use hprng_expander::NeighborSampling;
 use hprng_gpu_sim::Resource;
 use hprng_telemetry::{Recorder, Stage, WordTap};
 use std::time::Instant;
@@ -118,20 +117,10 @@ impl<B: Backend> Engine<B> {
     /// Algorithm 1: installs `threads` walks, consuming
     /// `threads × init_words_per_thread` feed words.
     ///
-    /// Returns [`HprngError::EmptySession`] when `threads` is zero, and
-    /// [`HprngError::InvalidParam`] for [`NeighborSampling::Rejection`]: a
-    /// lane reads a fixed span of feed words per number, which a rejecting
-    /// walk can run past. `ExpanderWalkRng` reads one continuous stream and
-    /// samples by rejection.
+    /// Returns [`HprngError::EmptySession`] when `threads` is zero.
     pub fn initialize(&mut self, threads: usize) -> Result<(), HprngError> {
         if threads == 0 {
             return Err(HprngError::EmptySession);
-        }
-        if self.backend.params().walk.sampling == NeighborSampling::Rejection {
-            return Err(HprngError::InvalidParam {
-                field: "walk.sampling",
-                reason: "engine lanes read fixed spans; sample by rejection on ExpanderWalkRng",
-            });
         }
         let words = threads * init_words_per_thread(self.backend.params());
         let bits = self.take_words(words);
@@ -405,11 +394,9 @@ impl<B: Backend> crate::ondemand::OnDemandRng for Engine<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{HybridParams, WalkParams};
-    use crate::pipeline::backend::{CpuBackend, DeviceBackend};
+    use crate::params::HybridParams;
+    use crate::pipeline::backend::CpuBackend;
     use crate::pipeline::feed::GlibcFeed;
-    use crate::HybridPrng;
-    use hprng_gpu_sim::{Device, DeviceConfig};
 
     fn engine(seed: u64) -> Engine<CpuBackend> {
         Engine::new(
@@ -422,38 +409,6 @@ mod tests {
     fn initialize_rejects_zero_threads() {
         let mut e = engine(1);
         assert_eq!(e.initialize(0).unwrap_err(), HprngError::EmptySession);
-    }
-
-    #[test]
-    fn initialize_refuses_rejection_sampling_before_drawing_feed() {
-        let walk = WalkParams::builder()
-            .sampling(NeighborSampling::Rejection)
-            .build()
-            .unwrap();
-        let params = HybridParams::builder().walk(walk).build().unwrap();
-        fn refuse<B: Backend>(backend: B) -> HprngError {
-            let mut e = Engine::new(backend, Box::new(GlibcFeed::from_master_seed(1)));
-            let err = e.initialize(8).unwrap_err();
-            let label = e.backend().label();
-            assert_eq!(e.stats().feed_words, 0, "{label} drew feed words");
-            assert_eq!(e.threads(), 0, "{label} installed walks");
-            err
-        }
-        let err = refuse(CpuBackend::new(params));
-        assert!(
-            matches!(
-                err,
-                HprngError::InvalidParam {
-                    field: "walk.sampling",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        let device = Device::new(DeviceConfig::test_tiny());
-        assert_eq!(refuse(DeviceBackend::new(&device, params)), err);
-        let mut prng = HybridPrng::new(DeviceConfig::test_tiny(), params, 1);
-        assert_eq!(prng.try_session(8).err(), Some(err));
     }
 
     #[test]

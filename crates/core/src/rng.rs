@@ -69,7 +69,7 @@ impl<S: BitSource> ExpanderWalkRng<S> {
             label |= (bits.next3() as u64) << (3 * i);
         }
         label |= ((bits.next3() as u64) & 0b1) << 63;
-        let mut walk = Walk::new(Vertex::unpack(label), params.sampling, params.mode);
+        let mut walk = Walk::new(Vertex::unpack(label));
         walk.advance(params.warmup_len, &mut bits);
         Self {
             walk,
@@ -269,7 +269,6 @@ impl SeedableRng for ExpanderWalkRng<RngBitSource<GlibcRand>> {
 mod tests {
     use super::*;
     use hprng_baselines::SplitMix64;
-    use hprng_expander::{NeighborSampling, WalkMode};
 
     #[test]
     fn deterministic_per_seed() {
@@ -291,8 +290,8 @@ mod tests {
     #[test]
     fn warmup_consumes_expected_chunks() {
         let rng = ExpanderWalkRng::from_seed_u64(9);
-        // 22 chunks for the start label + 64 warm-up steps (mask policy:
-        // exactly one chunk per step).
+        // 22 chunks for the start label + 64 warm-up steps (exactly one
+        // chunk per step).
         assert_eq!(rng.chunks_consumed(), 22 + 64);
     }
 
@@ -310,8 +309,6 @@ mod tests {
         let params = WalkParams {
             walk_len: 16,
             warmup_len: 8,
-            sampling: NeighborSampling::MaskWithSelfLoop,
-            mode: WalkMode::Directed,
         };
         let mut rng = ExpanderWalkRng::with_params(RngBitSource::new(SplitMix64::new(5)), params);
         let before = rng.chunks_consumed();

@@ -8,7 +8,8 @@
 //! application's output or through another provider built from the same
 //! code.
 
-use hprng_core::{ExpanderLanes, ExpanderWalkRng, SplitOnDemand};
+use hprng_baselines::GlibcRand;
+use hprng_core::{ExpanderLanes, ExpanderWalkRng, RngBitSource, SplitOnDemand, WalkParams};
 
 /// Words hashed per lane.
 const WORDS: usize = 4096;
@@ -51,5 +52,25 @@ fn expander_lanes_match_the_pins() {
     ] {
         let got = fingerprint(lanes.lane(t));
         assert_eq!(got, pin, "ExpanderLanes::new(7).lane({t})");
+    }
+}
+
+#[test]
+fn custom_walk_shapes_match_the_pins() {
+    // ((warmup_len, walk_len), (FNV-1a of the first 4096 words, chunks
+    // consumed)), each over glibc `rand()` seeded with 7.
+    for ((warmup_len, walk_len), pin) in [
+        ((0, 22), (0x9a48_0320_275b_cc5d, 90_134)),
+        ((5, 23), (0xbbfa_b07a_f523_65e4, 94_235)),
+        ((64, 16), (0xd9e6_5ab8_6cb6_6e85, 65_622)),
+    ] {
+        let shape = WalkParams::builder()
+            .warmup_len(warmup_len)
+            .walk_len(walk_len)
+            .build()
+            .unwrap();
+        let lane = ExpanderWalkRng::with_params(RngBitSource::new(GlibcRand::new(7)), shape);
+        let got = fingerprint(lane);
+        assert_eq!(got, pin, "walk shape ({warmup_len}, {walk_len})");
     }
 }

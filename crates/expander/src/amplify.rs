@@ -14,7 +14,7 @@
 //! 64-bit sample seeds, and [`amplify_majority`] runs the vote.
 
 use crate::bits::{BitSource, TriBitReader};
-use crate::walk::{NeighborSampling, Walk, WalkMode};
+use crate::walk::Walk;
 use crate::zm::Vertex;
 
 /// Yields sample seeds along an expander walk: the walk takes `spacing`
@@ -34,11 +34,7 @@ impl<S: BitSource> ExpanderSampler<S> {
     pub fn new(seed: u64, source: S, spacing: u32) -> Self {
         assert!(spacing > 0, "spacing must be positive");
         Self {
-            walk: Walk::new(
-                Vertex::unpack(seed),
-                NeighborSampling::MaskWithSelfLoop,
-                WalkMode::Directed,
-            ),
+            walk: Walk::new(Vertex::unpack(seed)),
             bits: TriBitReader::new(source),
             spacing,
         }

@@ -2,8 +2,8 @@
 //!
 //! `mixing_curve` starts a walk distribution as a point mass, evolves it
 //! with the *exact* transition operator of the walk the PRNG actually
-//! performs (directed functional walk with the 1/8 self-loop from the
-//! mask-with-self-loop policy), and records the total-variation distance to
+//! performs (directed functional walk with the 1/8 self-loop of the
+//! paper's `& 0b111` mask), and records the total-variation distance to
 //! the uniform distribution after every step. The paper's warm-up length of
 //! 64 corresponds to the point where these curves flatten at ≈ 0 for every
 //! start vertex.

@@ -234,11 +234,6 @@ impl<S: BitSource> TriBitReader<S> {
     pub fn bits_consumed(&self) -> u64 {
         self.consumed * 3
     }
-
-    /// Consumes the reader and returns the underlying source.
-    pub fn into_source(self) -> S {
-        self.source
-    }
 }
 
 #[cfg(test)]

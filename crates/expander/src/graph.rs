@@ -63,9 +63,9 @@ impl GabberGalil {
         }
     }
 
-    /// The walk-step fast path: maps a raw 3-bit chunk to the next vertex
-    /// under the mask-with-self-loop policy (`0..=6` → neighbour, `7` →
-    /// stay). Never panics.
+    /// One walk step: maps a raw 3-bit chunk to the next vertex, as the
+    /// paper's `& 0b111` mask reads it (`0..=6` → neighbour, `7` → stay).
+    /// Never panics.
     ///
     /// Branch-free: the chunk value is uniformly random, so any branch on
     /// it mispredicts ~60% of the time and dominates the step cost. Each
@@ -104,37 +104,16 @@ impl GabberGalil {
         // lookup carries no bounds check.
         STEP3[(chunks & 0x1ff) as usize].apply(v)
     }
-
-    /// Returns the unique `u` with `neighbor(u, k) == v` — the reverse edge
-    /// used when walking from the right side of the bipartite graph back to
-    /// the left.
-    ///
-    /// # Panics
-    /// Panics if `k >= 7`.
-    #[inline]
-    pub fn inv_neighbor(self, v: Vertex, k: u8) -> Vertex {
-        let Vertex { x, y } = v;
-        match k {
-            0 => v,
-            1 => Vertex::new(x, y.wrapping_sub(x.wrapping_mul(2))),
-            2 => Vertex::new(x, y.wrapping_sub(x.wrapping_mul(2)).wrapping_sub(1)),
-            3 => Vertex::new(x, y.wrapping_sub(x.wrapping_mul(2)).wrapping_sub(2)),
-            4 => Vertex::new(x.wrapping_sub(y.wrapping_mul(2)), y),
-            5 => Vertex::new(x.wrapping_sub(y.wrapping_mul(2)).wrapping_sub(1), y),
-            6 => Vertex::new(x.wrapping_sub(y.wrapping_mul(2)).wrapping_sub(2), y),
-            _ => panic!("Gabber-Galil vertex degree is 7, got neighbour index {k}"),
-        }
-    }
 }
 
 /// Three walk steps composed into one affine map of `(x, y)` over
 /// `Z/2^32`: `x' = a·x + b·y + e` and `y' = c·x + d·y + f`.
 ///
-/// Every mask-with-self-loop step is such a map (a shear plus a
-/// constant, or the identity), so any three compose into one. On a
-/// scalar lane the composed map puts one multiply and two adds on the
-/// vertex's dependency chain per three steps, where three masked steps
-/// put three shift-add, mask and add sequences on it.
+/// Every walk step is such a map (a shear plus a constant, or the
+/// identity), so any three compose into one. On a scalar lane the
+/// composed map puts one multiply and two adds on the vertex's dependency
+/// chain per three steps, where three masked steps put three shift-add,
+/// mask and add sequences on it.
 #[derive(Clone, Copy)]
 struct StepMap {
     a: u32,
@@ -272,45 +251,6 @@ impl GabberGalilGeneric {
             _ => panic!("Gabber-Galil vertex degree is 7, got neighbour index {k}"),
         }
     }
-
-    /// Returns the unique `u` with `neighbor(u, k) == v`.
-    ///
-    /// # Panics
-    /// Panics if `k >= 7`.
-    #[inline]
-    pub fn inv_neighbor(self, v: GenVertex, k: u8) -> GenVertex {
-        let m = self.m;
-        let GenVertex { x, y } = v;
-        let sub = |a: u64, b: u64| (a + m - b % m) % m;
-        match k {
-            0 => v,
-            1 => GenVertex {
-                x,
-                y: sub(y, 2 * x % m),
-            },
-            2 => GenVertex {
-                x,
-                y: sub(sub(y, 2 * x % m), 1),
-            },
-            3 => GenVertex {
-                x,
-                y: sub(sub(y, 2 * x % m), 2),
-            },
-            4 => GenVertex {
-                x: sub(x, 2 * y % m),
-                y,
-            },
-            5 => GenVertex {
-                x: sub(sub(x, 2 * y % m), 1),
-                y,
-            },
-            6 => GenVertex {
-                x: sub(sub(x, 2 * y % m), 2),
-                y,
-            },
-            _ => panic!("Gabber-Galil vertex degree is 7, got neighbour index {k}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -337,23 +277,6 @@ mod tests {
         // 2x + y = 2(2^32-1) + (2^32-1) = 3*2^32 - 3 ≡ -3 mod 2^32
         assert_eq!(g.neighbor(v, 1), Vertex::new(u32::MAX, u32::MAX - 2));
         assert_eq!(g.neighbor(v, 4), Vertex::new(u32::MAX - 2, u32::MAX));
-    }
-
-    #[test]
-    fn production_inverse_inverts_all_maps() {
-        let g = GabberGalil;
-        let vs = [
-            Vertex::new(0, 0),
-            Vertex::new(1, 2),
-            Vertex::new(u32::MAX, 17),
-            Vertex::new(0x8000_0000, 0x7fff_ffff),
-        ];
-        for v in vs {
-            for k in 0..DEGREE {
-                assert_eq!(g.inv_neighbor(g.neighbor(v, k), k), v, "k={k} v={v:?}");
-                assert_eq!(g.neighbor(g.inv_neighbor(v, k), k), v, "k={k} v={v:?}");
-            }
-        }
     }
 
     #[test]
@@ -391,18 +314,6 @@ mod tests {
                 seen[widx] = true;
             }
             assert!(seen.iter().all(|&s| s), "map {k} is not surjective");
-        }
-    }
-
-    #[test]
-    fn generic_inverse_inverts_all_maps() {
-        let m = 9;
-        let g = GabberGalilGeneric::new(m);
-        for idx in 0..g.side_len() {
-            let v = GenVertex::from_index(idx, m);
-            for k in 0..DEGREE {
-                assert_eq!(g.inv_neighbor(g.neighbor(v, k), k), v);
-            }
         }
     }
 

@@ -14,12 +14,12 @@
 //!
 //! * [`Vertex`] — a packed 64-bit vertex label for the production graph
 //!   (`m = 2^32`), and [`GenVertex`] for arbitrary moduli used in analysis.
-//! * [`GabberGalil`] — the seven neighbour maps of the production graph and
-//!   their inverses, plus [`GabberGalilGeneric`] for any modulus.
+//! * [`GabberGalil`] — the seven neighbour maps of the production graph,
+//!   plus [`GabberGalilGeneric`] for any modulus.
 //! * [`Walk`] — a stateful random-walk cursor that consumes 3-bit neighbour
-//!   choices from a [`bits::TriBitReader`]; under the paper's default
-//!   policies it takes three steps per lookup in a compile-time table of
-//!   composed step maps.
+//!   choices from a [`bits::TriBitReader`], the paper's `& 0b111` walk; it
+//!   takes three steps per lookup in a compile-time table of composed step
+//!   maps.
 //! * [`advance_lanes`] — the multi-lane kernel: [`KERNEL_LANES`] walks
 //!   advanced in lock-step over per-lane word spans, each bit-identical to
 //!   [`Walk::advance`].
@@ -31,18 +31,15 @@
 //! # Quick example
 //!
 //! ```
-//! use hprng_expander::{Vertex, Walk, NeighborSampling, WalkMode};
+//! use hprng_expander::{Vertex, Walk};
 //! use hprng_expander::bits::{SliceBitSource, TriBitReader};
 //!
-//! // Stand on vertex (1, 2) and take a few steps driven by raw bits.
+//! // Stand on vertex (1, 2) and take 64 steps driven by raw bits.
 //! let start = Vertex::new(1, 2);
-//! let mut walk = Walk::new(start, NeighborSampling::MaskWithSelfLoop, WalkMode::Directed);
+//! let mut walk = Walk::new(start);
 //! let raw = [0x0123_4567_89ab_cdefu64, 0xfedc_ba98_7654_3210];
 //! let mut bits = TriBitReader::new(SliceBitSource::new(&raw));
-//! for _ in 0..64 {
-//!     walk.step_with(&mut bits);
-//! }
-//! let label: u64 = walk.position().pack();
+//! let label: u64 = walk.advance(64, &mut bits).pack();
 //! assert_ne!(label, start.pack());
 //! ```
 
@@ -59,5 +56,5 @@ mod walk;
 mod zm;
 
 pub use graph::{GabberGalil, GabberGalilGeneric, DEGREE};
-pub use walk::{advance_lanes, NeighborSampling, Walk, WalkMode, WalkState, KERNEL_LANES};
+pub use walk::{advance_lanes, Walk, WalkState, KERNEL_LANES};
 pub use zm::{GenVertex, Vertex};

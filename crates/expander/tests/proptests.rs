@@ -2,8 +2,7 @@
 
 use hprng_expander::bits::{SliceBitSource, TriBitReader, CHUNKS_PER_WORD};
 use hprng_expander::{
-    advance_lanes, GabberGalil, GabberGalilGeneric, GenVertex, NeighborSampling, Vertex, Walk,
-    WalkMode, DEGREE, KERNEL_LANES,
+    advance_lanes, GabberGalil, GabberGalilGeneric, GenVertex, Vertex, Walk, KERNEL_LANES,
 };
 use proptest::prelude::*;
 
@@ -12,16 +11,6 @@ proptest! {
     #[test]
     fn pack_unpack_bijection(label in any::<u64>()) {
         prop_assert_eq!(Vertex::unpack(label).pack(), label);
-    }
-
-    /// Every neighbour map of the production graph is inverted exactly by
-    /// `inv_neighbor` on arbitrary vertices.
-    #[test]
-    fn production_maps_invert(x in any::<u32>(), y in any::<u32>(), k in 0u8..7) {
-        let g = GabberGalil;
-        let v = Vertex::new(x, y);
-        prop_assert_eq!(g.inv_neighbor(g.neighbor(v, k), k), v);
-        prop_assert_eq!(g.neighbor(g.inv_neighbor(v, k), k), v);
     }
 
     /// Distinct vertices stay distinct under every neighbour map
@@ -48,50 +37,24 @@ proptest! {
         }
     }
 
-    /// A walk is a pure function of (start, bits, policies): replaying the
-    /// same inputs gives the same trajectory.
+    /// A walk is a pure function of (start, bits): replaying the same
+    /// inputs gives the same trajectory.
     #[test]
     fn walk_replay_deterministic(
         start in any::<u64>(),
         words in prop::collection::vec(any::<u64>(), 1..8),
         steps in 1usize..200,
-        lazy in any::<bool>(),
-        bipartite in any::<bool>(),
     ) {
-        let sampling = if lazy { NeighborSampling::MaskWithSelfLoop } else { NeighborSampling::Rejection };
-        let mode = if bipartite { WalkMode::Bipartite } else { WalkMode::Directed };
-        // A rejection walk over an all-sevens stream would not terminate.
-        prop_assume!(!(sampling == NeighborSampling::Rejection
-            && words.iter().all(|&w| {
-                (0..CHUNKS_PER_WORD).all(|c| (w >> (3 * c)) & 0b111 == 0b111)
-            })));
         let run = |_: ()| {
-            let mut w = Walk::new(Vertex::unpack(start), sampling, mode);
+            let mut w = Walk::new(Vertex::unpack(start));
             let mut r = TriBitReader::new(SliceBitSource::new(&words));
             let mut traj = Vec::with_capacity(steps);
             for _ in 0..steps {
-                traj.push(w.step_with(&mut r).pack());
+                traj.push(w.advance(1, &mut r).pack());
             }
             traj
         };
         prop_assert_eq!(run(()), run(()));
-    }
-
-    /// Reversing a directed walk with the inverse maps returns to the start.
-    #[test]
-    fn directed_walk_is_reversible(
-        start in any::<u64>(),
-        choices in prop::collection::vec(0u8..7, 1..64),
-    ) {
-        let g = GabberGalil;
-        let mut v = Vertex::unpack(start);
-        for &k in &choices {
-            v = g.neighbor(v, k);
-        }
-        for &k in choices.iter().rev() {
-            v = g.inv_neighbor(v, k);
-        }
-        prop_assert_eq!(v, Vertex::unpack(start));
     }
 
     /// The branch-free fast-path step agrees with the reference neighbour
@@ -117,14 +80,14 @@ proptest! {
         let g = GabberGalil;
         let start = Vertex::unpack(label);
         let words = [index | later << 9];
-        let mut walk = Walk::paper_default(start);
+        let mut walk = Walk::new(start);
         walk.advance(3, &mut TriBitReader::new(SliceBitSource::new(&words)));
         let expect = (0..3).fold(start, |v, k| g.step_masked(v, ((index >> (3 * k)) & 7) as u8));
         prop_assert_eq!(walk.position(), expect);
     }
 
-    /// The run fast path of `Walk::advance` equals one
-    /// `step_choice(next3())` per step. Small refill buffers land reloads
+    /// The runs and table lookups of `Walk::advance` equal one
+    /// `step_masked(next3())` per step. Small refill buffers land reloads
     /// inside runs, and chunks read before the walk start its runs
     /// mid-word.
     #[test]
@@ -141,29 +104,19 @@ proptest! {
             fast_bits.next3();
             slow_bits.next3();
         }
-        let mut fast = Walk::paper_default(Vertex::unpack(start));
-        let mut slow = Walk::paper_default(Vertex::unpack(start));
+        let mut fast = Walk::new(Vertex::unpack(start));
         fast.advance(len, &mut fast_bits);
+        let (mut slow, mut slow_steps) = (Vertex::unpack(start), 0u64);
         for _ in 0..len {
-            slow.step_choice(slow_bits.next3());
+            slow = GabberGalil.step_masked(slow, slow_bits.next3());
+            slow_steps += 1;
         }
-        prop_assert_eq!(fast.position(), slow.position());
-        prop_assert_eq!(fast.steps_taken(), slow.steps_taken());
+        prop_assert_eq!(fast.position(), slow);
+        prop_assert_eq!(fast.steps_taken(), slow_steps);
         prop_assert_eq!(fast_bits.chunks_consumed(), slow_bits.chunks_consumed());
         let fast_next: Vec<u8> = (0..5).map(|_| fast_bits.next3()).collect();
         let slow_next: Vec<u8> = (0..5).map(|_| slow_bits.next3()).collect();
         prop_assert_eq!(fast_next, slow_next);
-    }
-
-    /// `step_choice` only ever moves to one of the 7 neighbours or stays.
-    #[test]
-    fn step_lands_on_a_neighbor(start in any::<u64>(), choice in 0u8..8) {
-        let g = GabberGalil;
-        let v = Vertex::unpack(start);
-        let mut w = Walk::paper_default(v);
-        let dest = w.step_choice(choice);
-        let neighbors: Vec<Vertex> = (0..DEGREE).map(|k| g.neighbor(v, k)).collect();
-        prop_assert!(dest == v || neighbors.contains(&dest));
     }
 
     /// The multi-lane kernel equals one `Walk::advance` per lane over that
@@ -174,9 +127,7 @@ proptest! {
         labels in prop::collection::vec(any::<u64>(), 1..KERNEL_LANES + 1),
         words in prop::collection::vec(any::<u64>(), KERNEL_LANES * 8..KERNEL_LANES * 8 + 1),
         len in 0u32..131,
-        bipartite in any::<bool>(),
     ) {
-        let mode = if bipartite { WalkMode::Bipartite } else { WalkMode::Directed };
         let span = (len as usize).div_ceil(CHUNKS_PER_WORD);
         let stride = span + 1;
         let expect: Vec<u64> = labels
@@ -186,13 +137,11 @@ proptest! {
                 // The reference reads only the lane's own words, cycling.
                 let own = &words[i * stride..i * stride + span.max(1)];
                 let mut reader = TriBitReader::new(SliceBitSource::new(own));
-                Walk::new(Vertex::unpack(label), NeighborSampling::MaskWithSelfLoop, mode)
-                    .advance(len, &mut reader)
-                    .pack()
+                Walk::new(Vertex::unpack(label)).advance(len, &mut reader).pack()
             })
             .collect();
         let mut got = labels.clone();
-        advance_lanes(&mut got, &words[..labels.len() * stride], stride, len, mode);
+        advance_lanes(&mut got, &words[..labels.len() * stride], stride, len);
         prop_assert_eq!(got, expect);
     }
 }

@@ -99,7 +99,7 @@ proptest! {
     }
 
     /// Bit accounting is exact: every generated number consumes exactly
-    /// `walk_len` chunks under the mask policy.
+    /// `walk_len` chunks, one per step.
     #[test]
     fn chunk_accounting_is_exact(seed in any::<u64>(), k in 1u64..200) {
         let mut rng = ExpanderWalkRng::from_seed_u64(seed);
