@@ -50,6 +50,9 @@
 //! Global flags: `--trace-out <path>` writes a merged Chrome-trace
 //! (Perfetto) JSON of an instrumented run; `--metrics-out <path>` writes
 //! the telemetry counters/histograms as JSON (`-` prints to stdout).
+//!
+//! An unknown command or flag, or a flag value that is missing or does
+//! not parse, prints what was wrong to stderr and exits 2.
 //! ```
 
 use hprng_bench::monitor_cmd::{MonitorGenerator, MonitorRunConfig};
@@ -104,6 +107,36 @@ struct Args {
     replay: Option<u64>,
 }
 
+/// A comma-separated flag value, such as `--sizes 1000,2000`.
+struct List<T>(Vec<T>);
+
+impl<T: std::str::FromStr> std::str::FromStr for List<T> {
+    type Err = T::Err;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        s.split(',')
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .map(List)
+    }
+}
+
+/// Parses `argv[*i]`, the value of the flag at `argv[*i - 1]`, and steps
+/// past it. A missing or malformed value names the flag and what it
+/// `takes` on stderr and exits 2.
+fn flag_value<T: std::str::FromStr>(argv: &[String], i: &mut usize, takes: &str) -> T {
+    let flag = &argv[*i - 1];
+    let Some(value) = argv.get(*i) else {
+        eprintln!("{flag} takes {takes}");
+        std::process::exit(2);
+    };
+    *i += 1;
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes {takes}, not {value:?}");
+        std::process::exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         cmd: "all".to_string(),
@@ -142,130 +175,42 @@ fn parse_args() -> Args {
         }
     }
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                args.scale = argv[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--quick" => {
-                args.scale = 0.05;
-                i += 1;
-            }
-            "--full" => {
-                args.scale = 1.0;
-                i += 1;
-            }
+        let flag = &argv[i];
+        i += 1;
+        match flag.as_str() {
+            "--scale" => args.scale = flag_value(&argv, &mut i, "a float"),
+            "--quick" => args.scale = 0.05,
+            "--full" => args.scale = 1.0,
             "--sizes" => {
-                args.sizes = Some(
-                    argv[i + 1]
-                        .split(',')
-                        .map(|s| s.parse().expect("--sizes takes integers"))
-                        .collect(),
-                );
-                i += 2;
+                let List(sizes) = flag_value(&argv, &mut i, "comma-separated integers");
+                args.sizes = Some(sizes);
             }
             "--photons" => {
-                args.photons = Some(
-                    argv[i + 1]
-                        .split(',')
-                        .map(|s| s.parse().expect("--photons takes integers"))
-                        .collect(),
-                );
-                i += 2;
+                let List(photons) = flag_value(&argv, &mut i, "comma-separated integers");
+                args.photons = Some(photons);
             }
-            "--n" => {
-                args.n = argv[i + 1].parse().expect("--n takes an integer");
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = argv[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(std::path::PathBuf::from(
-                    argv.get(i + 1).expect("--trace-out takes a path"),
-                ));
-                i += 2;
-            }
+            "--n" => args.n = flag_value(&argv, &mut i, "an integer"),
+            "--seed" => args.seed = flag_value(&argv, &mut i, "an integer"),
+            "--trace-out" => args.trace_out = Some(flag_value(&argv, &mut i, "a path")),
             "--metrics-out" => {
-                args.metrics_out = Some(
-                    argv.get(i + 1)
-                        .expect("--metrics-out takes a path (or - for stdout)")
-                        .clone(),
-                );
-                i += 2;
+                args.metrics_out = Some(flag_value(&argv, &mut i, "a path (or - for stdout)"))
             }
-            "--json-out" => {
-                args.json_out = Some(std::path::PathBuf::from(
-                    argv.get(i + 1).expect("--json-out takes a path"),
-                ));
-                i += 2;
-            }
+            "--json-out" => args.json_out = Some(flag_value(&argv, &mut i, "a path")),
             "--generator" => {
-                args.generator = argv
-                    .get(i + 1)
-                    .expect("--generator takes hybrid|mt|glibc-low|constant")
-                    .clone();
-                i += 2;
+                args.generator = flag_value(&argv, &mut i, "hybrid|mt|glibc-low|constant")
             }
-            "--words" => {
-                args.words = argv[i + 1].parse().expect("--words takes an integer");
-                i += 2;
-            }
-            "--sample-every" => {
-                args.sample_every = argv[i + 1]
-                    .parse()
-                    .expect("--sample-every takes an integer");
-                i += 2;
-            }
-            "--assert-clean" => {
-                args.assert_clean = true;
-                i += 1;
-            }
-            "--assert-alerts" => {
-                args.assert_alerts = true;
-                i += 1;
-            }
-            "--prom-out" => {
-                args.prom_out = Some(std::path::PathBuf::from(
-                    argv.get(i + 1).expect("--prom-out takes a path"),
-                ));
-                i += 2;
-            }
-            "--baseline" => {
-                args.baseline = Some(std::path::PathBuf::from(
-                    argv.get(i + 1).expect("--baseline takes a path"),
-                ));
-                i += 2;
-            }
-            "--max-drop" => {
-                args.max_drop = argv[i + 1].parse().expect("--max-drop takes a fraction");
-                i += 2;
-            }
-            "--pool" => {
-                args.pool = true;
-                i += 1;
-            }
-            "--shards" => {
-                args.shards = argv[i + 1].parse().expect("--shards takes an integer");
-                i += 2;
-            }
-            "--clients" => {
-                args.clients = argv[i + 1].parse().expect("--clients takes an integer");
-                i += 2;
-            }
-            "--schedules" => {
-                args.schedules = argv[i + 1].parse().expect("--schedules takes an integer");
-                i += 2;
-            }
-            "--replay" => {
-                args.replay = Some(
-                    argv[i + 1]
-                        .parse()
-                        .expect("--replay takes a schedule seed (u64)"),
-                );
-                i += 2;
-            }
+            "--words" => args.words = flag_value(&argv, &mut i, "an integer"),
+            "--sample-every" => args.sample_every = flag_value(&argv, &mut i, "an integer"),
+            "--assert-clean" => args.assert_clean = true,
+            "--assert-alerts" => args.assert_alerts = true,
+            "--prom-out" => args.prom_out = Some(flag_value(&argv, &mut i, "a path")),
+            "--baseline" => args.baseline = Some(flag_value(&argv, &mut i, "a path")),
+            "--max-drop" => args.max_drop = flag_value(&argv, &mut i, "a fraction"),
+            "--pool" => args.pool = true,
+            "--shards" => args.shards = flag_value(&argv, &mut i, "an integer"),
+            "--clients" => args.clients = flag_value(&argv, &mut i, "an integer"),
+            "--schedules" => args.schedules = flag_value(&argv, &mut i, "an integer"),
+            "--replay" => args.replay = Some(flag_value(&argv, &mut i, "a schedule seed (u64)")),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);

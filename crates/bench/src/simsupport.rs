@@ -4,7 +4,7 @@
 
 use hprng_baselines::Md5Rand;
 use hprng_core::CostModel;
-use hprng_gpu_sim::{Device, DeviceConfig, Op, Stream, WorkUnit};
+use hprng_gpu_sim::{Device, DeviceConfig, Stream, WorkUnit};
 use std::time::Instant;
 
 /// Per-output cycle charge for CUDPP RAND's MD5 generator: one MD5
@@ -77,18 +77,17 @@ pub fn simulate_cudpp_md5(cfg: &DeviceConfig, _cost: &CostModel, n: usize) -> Cu
     let mut stream = Stream::new(&device);
     let threads = 8_192.min(n);
     let per_thread = n.div_ceil(threads);
-    let mut states: Vec<Md5Rand> = (0..threads)
-        .map(|t| Md5Rand::with_stream(0xC0DD, t as u64))
-        .collect();
-    stream.wait_until(7_000.0);
-    stream.launch_map(WorkUnit::Generate, &mut states, |ctx, md5| {
+    for t in 0..threads {
+        let mut md5 = Md5Rand::with_stream(0xC0DD, t as u64);
         let mut acc = 0u32;
         for _ in 0..per_thread {
             acc ^= md5.next();
         }
         std::hint::black_box(acc);
-        ctx.charge(Op::Alu, CUDPP_MD5_CYCLES_PER_OUTPUT * per_thread as u64);
-    });
+    }
+    stream.wait_until(7_000.0);
+    let cycles = cfg.alu_cycles * CUDPP_MD5_CYCLES_PER_OUTPUT * per_thread as u64;
+    stream.kernel(WorkUnit::Generate, threads, cycles);
     CudppSimResult {
         numbers: n,
         sim_ns: stream.synchronize(),
@@ -114,5 +113,19 @@ mod tests {
         let r = simulate_cudpp_md5(&cfg, &CostModel::default(), 100_000);
         assert!(r.sim_ns > 0.0);
         assert_eq!(r.numbers, 100_000);
+    }
+
+    #[test]
+    fn cudpp_sim_matches_the_pin() {
+        // Exact simulated nanoseconds (as `f64` bits) on both presets.
+        let got: Vec<u64> = [DeviceConfig::tesla_c1060(), DeviceConfig::fermi_c2050()]
+            .iter()
+            .map(|cfg| {
+                simulate_cudpp_md5(cfg, &CostModel::default(), 100_003)
+                    .sim_ns
+                    .to_bits()
+            })
+            .collect();
+        assert_eq!(got, [0x4134_a8d8_71c7_1c72, 0x4128_a996_42c8_590c]);
     }
 }

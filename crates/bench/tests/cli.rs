@@ -1,5 +1,5 @@
-//! `repro`'s command line: a command it does not run is an error, not a
-//! silent no-op.
+//! `repro`'s command line: a command it does not run, or a flag value it
+//! cannot read, is an error, not a silent no-op or a panic.
 
 use std::process::Command;
 
@@ -16,5 +16,24 @@ fn unknown_commands_exit_2_without_running_anything() {
         assert!(out.stdout.is_empty(), "repro {cmd} printed to stdout");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(cmd), "repro {cmd} stderr: {stderr}");
+    }
+}
+
+#[test]
+fn missing_or_malformed_flag_values_exit_2_naming_the_flag() {
+    for args in [
+        &["fig4", "--seed"][..],
+        &["fig4", "--seed", "abc"],
+        &["fig3", "--sizes", "1,x"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("running repro");
+        let shown = args.join(" ");
+        assert_eq!(out.status.code(), Some(2), "repro {shown}");
+        assert!(out.stdout.is_empty(), "repro {shown} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "repro {shown} stderr: {stderr}");
     }
 }

@@ -9,12 +9,13 @@
 //! * CURAND's device API (XORWOW) — per-thread on-demand state, numbers
 //!   consumed in place.
 //!
-//! Both run the *real* algorithms over the device model; their per-output
-//! cycle charges come from [`CostModel`] (see its calibration note).
+//! Both run the *real* algorithms over their per-thread states on the host,
+//! so `wall_ns` times them, then charge the device model one kernel whose
+//! per-output cycles come from [`CostModel`] (see its calibration note).
 
 use crate::params::CostModel;
 use hprng_baselines::{Mt19937, Xorwow};
-use hprng_gpu_sim::{Device, DeviceBuffer, DeviceConfig, Op, Stream, WorkUnit};
+use hprng_gpu_sim::{Device, DeviceConfig, Stream, WorkUnit};
 use rand_core::SeedableRng;
 use std::time::Instant;
 
@@ -54,30 +55,20 @@ pub fn simulate_mt_batch(config: &DeviceConfig, cost: &CostModel, n: usize) -> D
 
     let threads = MT_SAMPLE_THREADS.min(n);
     let per_thread = n.div_ceil(threads);
-    let mut states: Vec<Mt19937> = (0..threads)
-        .map(|t| Mt19937::seed_from_u64(0x1234_5678 + t as u64))
-        .collect();
     let mut out = vec![0u32; threads * per_thread];
+    for (t, span) in out.chunks_mut(per_thread).enumerate() {
+        let mut mt = Mt19937::seed_from_u64(0x1234_5678 + t as u64);
+        for slot in span {
+            *slot = mt.next();
+        }
+    }
+    std::hint::black_box(&out);
 
     stream.wait_until(cost.kernel_launch_ns);
-    let mt_cycles = cost.mt_cycles_per_output;
-    stream.launch_zip(
-        WorkUnit::Generate,
-        &mut states,
-        &mut out,
-        per_thread,
-        |ctx, mt, span| {
-            for slot in span.iter_mut() {
-                *slot = mt.next();
-            }
-            ctx.charge(Op::Alu, mt_cycles * span.len() as u64);
-        },
-    );
-
+    let cycles = config.alu_cycles * cost.mt_cycles_per_output * per_thread as u64;
+    stream.kernel(WorkUnit::Generate, threads, cycles);
     // The sample's D2H copy of the full batch.
-    let dev_out = DeviceBuffer::from_host(out);
-    let mut host_out = vec![0u32; threads * per_thread];
-    stream.d2h(&dev_out, &mut host_out);
+    stream.transfer(std::mem::size_of_val(&out[..]));
 
     DeviceSimResult {
         numbers: n,
@@ -102,21 +93,19 @@ pub fn simulate_curand_device(
     let mut stream = Stream::new(&device);
 
     let threads = n.div_ceil(per_thread);
-    let mut states: Vec<Xorwow> = (0..threads)
-        .map(|t| Xorwow::new(0x9e37_79b9 ^ t as u64))
-        .collect();
-
-    stream.wait_until(cost.kernel_launch_ns);
-    let curand_cycles = cost.curand_cycles_per_output;
-    stream.launch_map(WorkUnit::Generate, &mut states, |ctx, xw| {
+    for t in 0..threads {
+        let mut xw = Xorwow::new(0x9e37_79b9 ^ t as u64);
         let mut acc = 0u32;
         for _ in 0..per_thread {
             acc ^= xw.next();
         }
         // Keep the value alive so the loop is not optimized away.
         std::hint::black_box(acc);
-        ctx.charge(Op::Alu, curand_cycles * per_thread as u64);
-    });
+    }
+
+    stream.wait_until(cost.kernel_launch_ns);
+    let cycles = config.alu_cycles * cost.curand_cycles_per_output * per_thread as u64;
+    stream.kernel(WorkUnit::Generate, threads, cycles);
 
     DeviceSimResult {
         numbers: n,
@@ -151,6 +140,36 @@ mod tests {
         let large = simulate_curand_device(&cfg, &cost, 4_000_000, 100);
         let ratio = large.sim_ns / small.sim_ns;
         assert!((3.0..5.0).contains(&ratio), "ratio = {ratio}");
+    }
+
+    #[test]
+    fn baselines_match_the_pin() {
+        // Exact simulated nanoseconds (as `f64` bits) of both comparators
+        // on both presets, at a size with a ragged last warp and a round
+        // one.
+        let cost = CostModel::default();
+        let mut got = Vec::new();
+        for config in [DeviceConfig::tesla_c1060(), DeviceConfig::fermi_c2050()] {
+            for n in [100_003, 400_000] {
+                got.push(simulate_mt_batch(&config, &cost, n).sim_ns.to_bits());
+                got.push(
+                    simulate_curand_device(&config, &cost, n, 100)
+                        .sim_ns
+                        .to_bits(),
+                );
+            }
+        }
+        let pin = [
+            0x4133_e0ef_e6b7_4f03,
+            0x4141_f313_8194_8b10,
+            0x4153_4aae_8b0f_cd6e,
+            0x4156_6597_61f9_add4,
+            0x4127_4f98_590b_2165,
+            0x412e_7740_b216_42c9,
+            0x4146_774a_42c8_590c,
+            0x4146_be18_8590_b217,
+        ];
+        assert_eq!(got, pin);
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Work-unit mapping (§IV-A): FEED (raw-bit production with glibc `rand()`)
 //! runs on the CPU, GENERATE (walk advancement) runs on the GPU, and
-//! TRANSFER ships bit batches over PCIe. The engine fills each batch's bits
-//! inline; [`DeviceBackend`] charges that FEED to its own simulated CPU
-//! clock ([`crate::pipeline::Backend::record_feed`]) and opens one
+//! TRANSFER ships bit batches over PCIe. The [`Engine`] fills each batch's
+//! bits inline and advances the walks on the host; [`DeviceBackend`]
+//! charges the stages to the simulated device from their counts. It
+//! charges FEED to its own simulated CPU clock
+//! ([`crate::pipeline::Backend::record_feed`]) and opens one
 //! [`hprng_gpu_sim::Stream`] per call, whose transfer waits only for the
-//! FEED it carries. So on the simulated timeline the CPU feeds iteration
-//! `k+1` while the GPU walks iteration `k`. The [`PipelineStats`] and the
-//! device timeline reproduce Figure 4 (overlap and idle fractions) and
-//! Figure 5 (batch-size sweep).
+//! FEED it carries and whose kernel charge follows it. So on the simulated
+//! timeline the CPU feeds iteration `k+1` while the GPU walks iteration
+//! `k`. The [`PipelineStats`] and the device timeline reproduce Figure 4
+//! (overlap and idle fractions) and Figure 5 (batch-size sweep).
 //!
 //! This module is the ergonomic front door: [`HybridPrng`] owns the device
 //! and opens [`HybridSession`]s, each an [`Engine`] on the
@@ -62,7 +64,7 @@ impl HybridPrng {
         &self.params
     }
 
-    /// Opens an on-demand session with `threads` device-resident walks
+    /// Opens an on-demand session with `threads` walks
     /// (Algorithm 1 runs here). The session then serves any number of
     /// [`Engine::try_next_batch`] calls — the quantity of randomness never
     /// has to be declared up front.
@@ -119,9 +121,10 @@ impl HybridPrng {
 }
 
 impl<'a> Engine<DeviceBackend<'a>> {
-    /// The device the session runs on — applications launch their own
-    /// kernels here so that their work shares the session's timeline
-    /// (Algorithm 3 interleaves ranking kernels with GetNextRand batches).
+    /// The device the session runs on — applications charge their own
+    /// kernels here, through a [`hprng_gpu_sim::Stream`], so that their
+    /// work shares the session's timeline (Algorithm 3 interleaves ranking
+    /// kernels with GetNextRand batches).
     pub fn device(&self) -> &'a Device {
         self.backend().device()
     }

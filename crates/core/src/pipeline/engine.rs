@@ -1,19 +1,48 @@
 //! The pipeline engine: FEED → TRANSFER → GENERATE orchestration.
 //!
-//! [`Engine`] drives one [`BitFeed`] into one [`Backend`]: the feed fills
-//! each batch's raw words inline on the calling thread, and the backend's
-//! GENERATE stage turns them into numbers. The paper overlaps FEED with
-//! GENERATE (§IV-A, Figure 4); the device backend models that overlap on
-//! its simulated timeline, charged from word counts alone
-//! ([`Backend::record_feed`]).
+//! [`Engine`] drives one [`BitFeed`] into the walks it owns: the feed
+//! fills each batch's raw words inline on the calling thread, and the
+//! engine's GENERATE stage advances one walk per number over them, eight
+//! lanes at a time with [`advance_lanes`], on the backend's
+//! [`Backend::workers`]. Its [`Backend`] accounts each stage from the
+//! counts alone. The paper overlaps FEED with GENERATE (§IV-A, Figure 4);
+//! the device backend models that overlap on its simulated timeline.
 
 use crate::error::HprngError;
-use crate::params::PipelineMode;
+use crate::params::{HybridParams, PipelineMode};
 use crate::pipeline::backend::{init_words_per_thread, Backend};
 use crate::pipeline::feed::BitFeed;
+use hprng_expander::{advance_lanes, KERNEL_LANES};
 use hprng_gpu_sim::Resource;
 use hprng_telemetry::{Recorder, Stage, WordTap};
+use rayon::prelude::*;
 use std::time::Instant;
+
+/// Algorithm 1 for `threads` lanes: lane `t` starts on the vertex packed in
+/// word 0 of its `init_words_per_thread` span and warms up over the rest.
+fn init_labels(threads: usize, bits: &[u64], params: &HybridParams, workers: usize) -> Vec<u64> {
+    let span = init_words_per_thread(params);
+    let mut labels: Vec<u64> = bits.iter().step_by(span).take(threads).copied().collect();
+    let warmup = bits.get(1..).unwrap_or_default();
+    advance_spans(&mut labels, warmup, span, params.walk.warmup_len, workers);
+    labels
+}
+
+/// Advances lane `t` from `labels[t]` by `len` steps over the words
+/// `words[t * stride..]`. Each of the `workers` takes a run of whole
+/// kernel groups, so only the last group is partial.
+fn advance_spans(labels: &mut [u64], words: &[u64], stride: usize, len: u32, workers: usize) {
+    let chunk = labels.len().div_ceil(KERNEL_LANES).div_ceil(workers).max(1) * KERNEL_LANES;
+    labels
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(c, labels)| {
+            for (g, group) in labels.chunks_mut(KERNEL_LANES).enumerate() {
+                let first = c * chunk + g * KERNEL_LANES;
+                advance_lanes(group, &words[first * stride..], stride, len);
+            }
+        });
+}
 
 /// Summary of one pipeline run.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,8 +66,8 @@ pub struct PipelineStats {
     pub gnumbers_per_s: f64,
 }
 
-/// The stage-decoupled pipeline: one [`BitFeed`], one [`Backend`], and the
-/// on-demand batch interface between them.
+/// The stage-decoupled pipeline: one [`BitFeed`], the walks it drives,
+/// one [`Backend`] that accounts them, and the on-demand batch interface.
 ///
 /// This is the workspace's one multi-lane walk session. On the
 /// simulated-device backend it is [`crate::HybridSession`], the session
@@ -47,6 +76,8 @@ pub struct PipelineStats {
 pub struct Engine<B: Backend> {
     backend: B,
     feed: Box<dyn BitFeed>,
+    /// The packed vertex label of every resident walk.
+    lanes: Vec<u64>,
     iterations: usize,
     feed_words: u64,
     numbers: usize,
@@ -61,6 +92,7 @@ impl<B: Backend> Engine<B> {
         Self {
             backend,
             feed,
+            lanes: Vec::new(),
             iterations: 0,
             feed_words: 0,
             numbers: 0,
@@ -84,7 +116,7 @@ impl<B: Backend> Engine<B> {
 
     /// Number of resident walks (0 before [`Engine::initialize`]).
     pub fn threads(&self) -> usize {
-        self.backend.threads()
+        self.lanes.len()
     }
 
     /// Attaches a streaming word tap (e.g. a quality monitor's sampling
@@ -122,9 +154,13 @@ impl<B: Backend> Engine<B> {
         if threads == 0 {
             return Err(HprngError::EmptySession);
         }
-        let words = threads * init_words_per_thread(self.backend.params());
+        let params = *self.backend.params();
+        let words = threads * init_words_per_thread(&params);
         let bits = self.take_words(words);
-        self.backend.initialize(threads, &bits, &mut self.recorder);
+        let span = self.recorder.start_span(Stage::Generate, "initialize");
+        self.lanes = init_labels(threads, &bits, &params, self.backend.workers());
+        self.recorder.finish_span(span);
+        self.backend.record_initialize(threads, words);
         self.iterations += 1;
         self.recorder.add("iterations", 1.0);
         Ok(())
@@ -149,16 +185,24 @@ impl<B: Backend> Engine<B> {
         if count == 0 {
             return Err(HprngError::EmptyRequest);
         }
-        if count > self.backend.threads() {
+        if count > self.lanes.len() {
             return Err(HprngError::BatchTooLarge {
                 requested: count,
-                available: self.backend.threads(),
+                available: self.lanes.len(),
             });
         }
         let batch_start_ns = self.recorder.now_ns();
-        let words = count * self.backend.params().walk.words_per_number();
+        let walk = self.backend.params().walk;
+        let stride = walk.words_per_number();
+        let words = count * stride;
         let bits = self.take_words(words);
-        self.backend.generate(count, &bits, out, &mut self.recorder);
+        let span = self.recorder.start_span(Stage::Generate, "next_batch");
+        let lanes = &mut self.lanes[..count];
+        advance_spans(lanes, &bits, stride, walk.walk_len, self.backend.workers());
+        out.copy_from_slice(lanes);
+        self.recorder.finish_span(span);
+        self.backend
+            .record_generate(count, words, &mut self.recorder);
         self.iterations += 1;
         self.numbers += count;
         self.recorder.add("iterations", 1.0);
@@ -239,18 +283,17 @@ impl<B: Backend> Engine<B> {
                 label: self.backend.label(),
             })?;
         let walks = self
-            .backend
-            .walk_labels()
-            .into_iter()
+            .lanes
+            .iter()
             // The walk kernel counts step parity from zero in every batch,
             // so the packed vertex is the whole per-lane state.
-            .map(|vertex| hprng_expander::WalkState { vertex, steps: 0 })
+            .map(|&vertex| hprng_expander::WalkState { vertex, steps: 0 })
             .collect();
         Ok(crate::StreamState {
             label: self.backend.label().to_string(),
             id: 0,
             seed,
-            lanes: self.backend.threads(),
+            lanes: self.lanes.len(),
             session_words: self.numbers as u64,
             feed_words: self.feed_words,
             feed_chunks: 0,
@@ -302,7 +345,7 @@ impl<B: Backend> Engine<B> {
                 reason: "walk count disagrees with the lane count",
             });
         }
-        match self.backend.threads() {
+        match self.lanes.len() {
             0 => self.initialize(state.lanes)?,
             t if t == state.lanes => {}
             _ => {
@@ -324,9 +367,9 @@ impl<B: Backend> Engine<B> {
             self.try_next_batch_into(&mut scratch[..remainder])?;
         }
         if !state.walks.is_empty() {
-            let replayed = self.backend.walk_labels();
-            let matches = replayed.len() == state.walks.len()
-                && replayed
+            let matches = self.lanes.len() == state.walks.len()
+                && self
+                    .lanes
                     .iter()
                     .zip(&state.walks)
                     .all(|(&vertex, walk)| vertex == walk.vertex);
@@ -354,7 +397,7 @@ impl<B: Backend> crate::ondemand::OnDemandRng for Engine<B> {
     }
 
     fn lanes(&self) -> usize {
-        self.backend.threads()
+        self.lanes.len()
     }
 
     fn try_next_batch_into(&mut self, out: &mut [u64]) -> Result<(), HprngError> {

@@ -8,11 +8,11 @@
 //!
 //! * [`BitFeed`] (with the paper's [`GlibcFeed`]) — who produces the raw
 //!   words;
-//! * [`Backend`] (with [`DeviceBackend`], [`CpuBackend`]) — where the
-//!   walks advance and how the work is accounted;
-//! * [`Engine`] — the orchestrator tying them together: it fills each
-//!   batch's bits from the feed on the calling thread and hands them to
-//!   the backend.
+//! * [`Backend`] (with [`DeviceBackend`], [`CpuBackend`]) — which
+//!   platform the work is charged to, and on which clock;
+//! * [`Engine`] — the orchestrator and the owner of the walks: it fills
+//!   each batch's bits from the feed on the calling thread, advances the
+//!   walks over them, and hands the counts to the backend.
 //!
 //! `HybridPrng` remains the ergonomic front door: the `HybridSession` it
 //! opens is `Engine<DeviceBackend>` itself.

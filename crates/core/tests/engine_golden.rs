@@ -7,7 +7,7 @@
 //! changes a single word.
 
 use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{GlibcFeed, HybridParams, HybridPrng, OnDemandRng, WalkParams};
+use hprng_core::{GlibcFeed, HybridParams, HybridPrng, HybridSession, OnDemandRng, WalkParams};
 use hprng_gpu_sim::{Device, DeviceConfig};
 
 fn engine<B: Backend>(backend: B, seed: u64) -> Engine<B> {
@@ -96,4 +96,62 @@ fn facade_generate_matches_the_pin() {
     assert_eq!(stats.sim_ns, 628_143.0);
     assert_eq!(stats.feed_words, 7198);
     assert_eq!(stats.iterations, 100);
+}
+
+/// FNV-1a over every interval of the session's timeline (resource, work
+/// unit, start and end bits), then the simulated makespan and busy
+/// fractions of its stats.
+fn timeline_fingerprint(session: &HybridSession<'_>) -> u64 {
+    let mut words = Vec::new();
+    for iv in session.timeline().intervals() {
+        words.extend([
+            iv.resource as u64,
+            iv.unit as u64,
+            iv.start_ns.to_bits(),
+            iv.end_ns.to_bits(),
+        ]);
+    }
+    let stats = session.stats();
+    words.extend([
+        stats.sim_ns.to_bits(),
+        stats.cpu_busy.to_bits(),
+        stats.gpu_busy.to_bits(),
+    ]);
+    fnv(&words)
+}
+
+#[test]
+fn device_timeline_matches_the_pin() {
+    // Every simulated interval, to the bit: FEED, the H2D transfer, the
+    // launch latency, the GENERATE kernel's warp rounds and the D2H
+    // copy-back on the paper's C1060, then ragged warps on a Fermi whose
+    // lane count is no multiple of `warp_size × num_sms` (32 × 14).
+    let copy_back = HybridParams::builder().copy_back(true).build().unwrap();
+    let cases = [
+        (
+            DeviceConfig::tesla_c1060(),
+            copy_back,
+            300,
+            [300usize, 17, 300, 1],
+        ),
+        (
+            DeviceConfig::fermi_c2050(),
+            HybridParams::default(),
+            1000,
+            [1000, 449, 1000, 7],
+        ),
+    ];
+    // (timeline fingerprint, simulated makespan in ns) per case.
+    let pins = [
+        (0x9f7e_f4fc_77cf_e801, 144_049.876_543_209_9),
+        (0x7cea_186c_cff0_3b73, 80_672.695_652_173_92),
+    ];
+    for ((config, params, lanes, pattern), pin) in cases.into_iter().zip(pins) {
+        let name = config.name;
+        let mut prng = HybridPrng::new(config, params, 29);
+        let mut session = prng.try_session(lanes).unwrap();
+        run_pattern(&mut session, &pattern);
+        let got = (timeline_fingerprint(&session), session.stats().sim_ns);
+        assert_eq!(got, pin, "{name}");
+    }
 }

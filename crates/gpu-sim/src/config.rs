@@ -68,8 +68,6 @@ pub struct DeviceConfig {
     /// Simulated cycles charged per (amortized, coalesced) global memory
     /// access.
     pub mem_cycles: u64,
-    /// Simulated cycles charged per special-function op (transcendentals).
-    pub sfu_cycles: u64,
     /// The host link.
     pub pcie: PcieConfig,
 }
@@ -87,7 +85,6 @@ impl DeviceConfig {
             core_clock_ghz: 1.296,
             alu_cycles: 1,
             mem_cycles: 4,
-            sfu_cycles: 8,
             pcie: PcieConfig {
                 bandwidth_gb_s: 8.0,
                 latency_us: 10.0,
@@ -107,7 +104,6 @@ impl DeviceConfig {
             core_clock_ghz: 1.15,
             alu_cycles: 1,
             mem_cycles: 3,
-            sfu_cycles: 6,
             pcie: PcieConfig {
                 bandwidth_gb_s: 8.0,
                 latency_us: 10.0,
@@ -126,7 +122,6 @@ impl DeviceConfig {
             core_clock_ghz: 1.0,
             alu_cycles: 1,
             mem_cycles: 4,
-            sfu_cycles: 8,
             pcie: PcieConfig {
                 bandwidth_gb_s: 1.0,
                 latency_us: 1.0,
@@ -214,12 +209,6 @@ impl DeviceConfigBuilder {
     /// Sets the cycles charged per amortized global-memory access.
     pub fn mem_cycles(mut self, cycles: u64) -> Self {
         self.config.mem_cycles = cycles;
-        self
-    }
-
-    /// Sets the cycles charged per special-function op.
-    pub fn sfu_cycles(mut self, cycles: u64) -> Self {
-        self.config.sfu_cycles = cycles;
         self
     }
 

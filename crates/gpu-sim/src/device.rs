@@ -1,80 +1,9 @@
-//! The simulated device: kernel execution with SIMT cost accounting.
+//! The simulated device: its configuration, its engine clocks and its
+//! timeline.
 
 use crate::config::DeviceConfig;
-use crate::kernel::{Grid, KernelCtx};
 use crate::timeline::{Resource, Timeline, WorkUnit};
 use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::cell::Cell;
-use std::time::Instant;
-
-/// Statistics of one kernel launch.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KernelStats {
-    /// Simulated kernel duration in nanoseconds (from the cost model).
-    pub sim_ns: f64,
-    /// Wall-clock host execution time in nanoseconds.
-    pub wall_ns: f64,
-    /// Number of warps executed.
-    pub warps: usize,
-    /// Number of logical threads executed.
-    pub threads: usize,
-}
-
-/// A linear device-memory allocation.
-///
-/// In the real system this lives in GPU global memory; here it is host
-/// memory whose *transfers* are what cost simulated time (see
-/// [`crate::Stream::h2d`]). Direct access through [`DeviceBuffer::as_slice`]
-/// is free, mirroring how kernels access global memory (whose cost is
-/// charged via [`KernelCtx::charge`]).
-#[derive(Clone, Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-}
-
-impl<T: Clone + Default> DeviceBuffer<T> {
-    /// Allocates a zero-initialized (default-initialized) buffer.
-    pub fn zeroed(len: usize) -> Self {
-        Self {
-            data: vec![T::default(); len],
-        }
-    }
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Wraps existing host data as device memory without accounting a
-    /// transfer (test setup; real uploads go through [`crate::Stream::h2d`]).
-    pub fn from_host(data: Vec<T>) -> Self {
-        Self { data }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Read-only view (kernel global-memory loads).
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view (kernel global-memory stores; use
-    /// [`Device::launch_map`] for one-element-per-thread parallelism).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the buffer, returning the host vector.
-    pub fn into_host(self) -> Vec<T> {
-        self.data
-    }
-}
 
 /// Resource-availability clocks used to schedule simulated operations.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,7 +14,9 @@ pub(crate) struct ResourceClocks {
     pub copy_free_ns: f64,
 }
 
-/// The simulated GPU.
+/// The simulated GPU: a machine description, the times at which its
+/// compute and copy engines next fall free, and the timeline of what they
+/// did. Work reaches it through [`crate::Stream`]s.
 pub struct Device {
     config: DeviceConfig,
     timeline: Mutex<Timeline>,
@@ -125,296 +56,50 @@ impl Device {
             .lock()
             .record(resource, unit, start_ns, end_ns);
     }
-
-    /// Executes the kernel body over the grid and returns its cost, without
-    /// touching the timeline (streams do the scheduling). Warps run in
-    /// parallel on the host thread pool; lanes within a warp run
-    /// sequentially, modelling SIMT lock-step.
-    pub(crate) fn execute<F>(&self, grid: Grid, f: F) -> KernelStats
-    where
-        F: Fn(&KernelCtx) + Sync,
-    {
-        let wall_start = Instant::now();
-        let total = grid.total_threads();
-        let warp = self.config.warp_size;
-        let num_warps = total.div_ceil(warp);
-        let cfg = &self.config;
-        let warp_cycles: Vec<u64> = (0..num_warps)
-            .into_par_iter()
-            .map(|w| {
-                let mut max_cycles = 0u64;
-                let cycles = Cell::new(0u64);
-                for lane in 0..warp {
-                    let tid = w * warp + lane;
-                    if tid >= total {
-                        break;
-                    }
-                    cycles.set(0);
-                    let ctx = KernelCtx {
-                        cfg,
-                        grid,
-                        global_id: tid,
-                        warp_id: w,
-                        lane,
-                        cycles: &cycles,
-                    };
-                    f(&ctx);
-                    max_cycles = max_cycles.max(cycles.get());
-                }
-                max_cycles
-            })
-            .collect();
-        let sim_ns = self.schedule_warps(&warp_cycles);
-        KernelStats {
-            sim_ns,
-            wall_ns: wall_start.elapsed().as_nanos() as f64,
-            warps: num_warps,
-            threads: total,
-        }
-    }
-
-    /// Executes a one-element-per-thread kernel over `data`, mutably.
-    pub(crate) fn execute_map<T, F>(&self, data: &mut [T], f: F) -> KernelStats
-    where
-        T: Send,
-        F: Fn(&KernelCtx, &mut T) + Sync,
-    {
-        let wall_start = Instant::now();
-        let total = data.len();
-        let warp = self.config.warp_size;
-        let grid = Grid::cover(total.max(1), warp as u32);
-        let cfg = &self.config;
-        let warp_cycles: Vec<u64> = data
-            .par_chunks_mut(warp)
-            .enumerate()
-            .map(|(w, chunk)| {
-                let mut max_cycles = 0u64;
-                let cycles = Cell::new(0u64);
-                for (lane, item) in chunk.iter_mut().enumerate() {
-                    cycles.set(0);
-                    let ctx = KernelCtx {
-                        cfg,
-                        grid,
-                        global_id: w * warp + lane,
-                        warp_id: w,
-                        lane,
-                        cycles: &cycles,
-                    };
-                    f(&ctx, item);
-                    max_cycles = max_cycles.max(cycles.get());
-                }
-                max_cycles
-            })
-            .collect();
-        let sim_ns = self.schedule_warps(&warp_cycles);
-        KernelStats {
-            sim_ns,
-            wall_ns: wall_start.elapsed().as_nanos() as f64,
-            warps: warp_cycles.len(),
-            threads: total,
-        }
-    }
-
-    /// Executes a kernel where each thread owns one element of `a` and a
-    /// fixed-size chunk of `b` (`b.len() == a.len() * chunk`). This is the
-    /// shape of the paper's GENERATE kernel: per-thread walk state plus a
-    /// per-thread output span.
-    ///
-    /// # Panics
-    /// Panics if `chunk == 0` or the lengths are inconsistent.
-    pub(crate) fn execute_zip<A, B, F>(
-        &self,
-        a: &mut [A],
-        b: &mut [B],
-        chunk: usize,
-        f: F,
-    ) -> KernelStats
-    where
-        A: Send,
-        B: Send,
-        F: Fn(&KernelCtx, &mut A, &mut [B]) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        assert_eq!(
-            b.len(),
-            a.len() * chunk,
-            "zip kernel requires b.len() == a.len() * chunk"
-        );
-        let wall_start = Instant::now();
-        let total = a.len();
-        let warp = self.config.warp_size;
-        let grid = Grid::cover(total.max(1), warp as u32);
-        let cfg = &self.config;
-        let warp_cycles: Vec<u64> = a
-            .par_chunks_mut(warp)
-            .zip(b.par_chunks_mut(warp * chunk))
-            .enumerate()
-            .map(|(w, (a_chunk, b_chunk))| {
-                let mut max_cycles = 0u64;
-                let cycles = Cell::new(0u64);
-                for (lane, (item, span)) in a_chunk
-                    .iter_mut()
-                    .zip(b_chunk.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    cycles.set(0);
-                    let ctx = KernelCtx {
-                        cfg,
-                        grid,
-                        global_id: w * warp + lane,
-                        warp_id: w,
-                        lane,
-                        cycles: &cycles,
-                    };
-                    f(&ctx, item, span);
-                    max_cycles = max_cycles.max(cycles.get());
-                }
-                max_cycles
-            })
-            .collect();
-        let sim_ns = self.schedule_warps(&warp_cycles);
-        KernelStats {
-            sim_ns,
-            wall_ns: wall_start.elapsed().as_nanos() as f64,
-            warps: warp_cycles.len(),
-            threads: total,
-        }
-    }
-
-    /// Round-robins warps over SMs and returns the simulated kernel
-    /// duration: the busiest SM's cycle count at the issue factor, at the
-    /// core clock.
-    fn schedule_warps(&self, warp_cycles: &[u64]) -> f64 {
-        let mut sm_busy = vec![0u64; self.config.num_sms];
-        for (w, &c) in warp_cycles.iter().enumerate() {
-            sm_busy[w % self.config.num_sms] += c * self.config.issue_factor();
-        }
-        let max_cycles = sm_busy.into_iter().max().unwrap_or(0);
-        self.config.cycles_to_ns(max_cycles)
-    }
-
-    /// Launches a kernel on the default stream (synchronous semantics):
-    /// schedules it after all previously submitted GPU work and records it
-    /// on the timeline.
-    pub fn launch<F>(&self, unit: WorkUnit, grid: Grid, f: F) -> KernelStats
-    where
-        F: Fn(&KernelCtx) + Sync,
-    {
-        let stats = self.execute(grid, f);
-        self.commit_gpu(unit, stats.sim_ns);
-        stats
-    }
-
-    /// [`Device::launch`] for one-element-per-thread kernels.
-    pub fn launch_map<T, F>(&self, unit: WorkUnit, data: &mut [T], f: F) -> KernelStats
-    where
-        T: Send,
-        F: Fn(&KernelCtx, &mut T) + Sync,
-    {
-        let stats = self.execute_map(data, f);
-        self.commit_gpu(unit, stats.sim_ns);
-        stats
-    }
-
-    fn commit_gpu(&self, unit: WorkUnit, sim_ns: f64) {
-        let mut clocks = self.clocks.lock();
-        let start = clocks.gpu_free_ns;
-        let end = start + sim_ns;
-        clocks.gpu_free_ns = end;
-        drop(clocks);
-        self.record(Resource::Gpu, unit, start, end);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Op;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::Stream;
 
     fn tiny() -> Device {
         Device::new(DeviceConfig::test_tiny())
     }
 
     #[test]
-    fn every_logical_thread_runs_exactly_once() {
-        let dev = tiny();
-        let grid = Grid::new(5, 13); // 65 threads, not warp-aligned
-        let hits = AtomicU64::new(0);
-        let seen = (0..65).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        dev.launch(WorkUnit::Other, grid, |ctx| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            seen[ctx.global_id()].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 65);
-        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn map_kernel_gives_each_thread_its_element() {
-        let dev = tiny();
-        let mut data: Vec<u64> = (0..100).collect();
-        dev.launch_map(WorkUnit::Other, &mut data, |ctx, x| {
-            *x += ctx.global_id() as u64;
-        });
-        for (i, &x) in data.iter().enumerate() {
-            assert_eq!(x, 2 * i as u64);
-        }
-    }
-
-    #[test]
     fn sim_time_scales_with_charged_work() {
         let dev = tiny();
-        let grid = Grid::new(1, 8); // exactly one warp
-        let light = dev.launch(WorkUnit::Other, grid, |ctx| ctx.charge(Op::Alu, 10));
-        let heavy = dev.launch(WorkUnit::Other, grid, |ctx| ctx.charge(Op::Alu, 1000));
-        assert!(heavy.sim_ns > light.sim_ns * 50.0);
+        let mut s = Stream::new(&dev);
+        // Exactly one warp.
+        let light = s.kernel(WorkUnit::Other, 8, 10);
+        let heavy = s.kernel(WorkUnit::Other, 8, 1000);
+        assert!(heavy > light * 50.0);
         // One warp of 8 lanes at issue factor 2 (8/4): 10 cycles * 2 = 20 ns
         // at 1 GHz.
-        assert_eq!(light.sim_ns, 20.0);
-    }
-
-    #[test]
-    fn warp_time_is_max_over_lanes() {
-        let dev = tiny();
-        let grid = Grid::new(1, 8);
-        // Lane 3 does 100 cycles, others do 1: SIMT lock-step means the warp
-        // pays 100.
-        let stats = dev.launch(WorkUnit::Other, grid, |ctx| {
-            let n = if ctx.lane() == 3 { 100 } else { 1 };
-            ctx.charge(Op::Alu, n);
-        });
-        assert_eq!(stats.sim_ns, 200.0); // 100 * issue factor 2 at 1 GHz
+        assert_eq!(light, 20.0);
     }
 
     #[test]
     fn warps_distribute_across_sms() {
         let dev = tiny(); // 2 SMs
-                          // Two warps of equal cost should land on different SMs: total time
-                          // equals one warp's time.
-        let one = dev.launch(WorkUnit::Other, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 50)
-        });
-        let two = dev.launch(WorkUnit::Other, Grid::new(2, 8), |ctx| {
-            ctx.charge(Op::Alu, 50)
-        });
-        assert_eq!(one.sim_ns, two.sim_ns);
-        // Three warps: one SM gets two.
-        let three = dev.launch(WorkUnit::Other, Grid::new(3, 8), |ctx| {
-            ctx.charge(Op::Alu, 50)
-        });
-        assert_eq!(three.sim_ns, 2.0 * one.sim_ns);
+        let mut s = Stream::new(&dev);
+        // Two warps of equal cost land on different SMs: total time equals
+        // one warp's time.
+        let one = s.kernel(WorkUnit::Other, 8, 50);
+        let two = s.kernel(WorkUnit::Other, 16, 50);
+        assert_eq!(one, two);
+        // Three warps (the third one partial): one SM gets two.
+        let three = s.kernel(WorkUnit::Other, 17, 50);
+        assert_eq!(three, 2.0 * one);
     }
 
     #[test]
     fn default_stream_serializes_on_timeline() {
         let dev = tiny();
-        dev.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 10)
-        });
-        dev.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 10)
-        });
+        let mut s = Stream::new(&dev);
+        s.kernel(WorkUnit::Generate, 8, 10);
+        s.kernel(WorkUnit::Generate, 8, 10);
         let tl = dev.timeline();
         let iv = tl.intervals();
         assert_eq!(iv.len(), 2);
@@ -424,47 +109,12 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let dev = tiny();
-        dev.launch(WorkUnit::Other, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 10)
-        });
+        let mut s = Stream::new(&dev);
+        s.kernel(WorkUnit::Other, 8, 10);
+        s.transfer(64);
         dev.reset_timeline();
         assert_eq!(dev.timeline().intervals().len(), 0);
-        assert_eq!(dev.clocks.lock().gpu_free_ns, 0.0);
-    }
-
-    #[test]
-    fn zip_kernel_pairs_state_with_output_span() {
-        let dev = tiny();
-        let mut states: Vec<u64> = (0..10).collect();
-        let mut outs = vec![0u64; 30];
-        dev.execute_zip(&mut states, &mut outs, 3, |ctx, state, span| {
-            *state += 100;
-            for (j, o) in span.iter_mut().enumerate() {
-                *o = ctx.global_id() as u64 * 10 + j as u64;
-            }
-        });
-        assert_eq!(states[4], 104);
-        assert_eq!(&outs[12..15], &[40, 41, 42]);
-        assert_eq!(outs[29], 92); // thread 9, span offset 2
-    }
-
-    #[test]
-    #[should_panic(expected = "b.len() == a.len() * chunk")]
-    fn zip_kernel_checks_lengths() {
-        let dev = tiny();
-        let mut a = vec![0u64; 4];
-        let mut b = vec![0u64; 9];
-        dev.execute_zip(&mut a, &mut b, 2, |_, _, _| {});
-    }
-
-    #[test]
-    fn buffer_roundtrip() {
-        let buf = DeviceBuffer::from_host(vec![1u32, 2, 3]);
-        assert_eq!(buf.len(), 3);
-        assert!(!buf.is_empty());
-        assert_eq!(buf.as_slice(), &[1, 2, 3]);
-        assert_eq!(buf.into_host(), vec![1, 2, 3]);
-        let z: DeviceBuffer<u64> = DeviceBuffer::zeroed(4);
-        assert_eq!(z.as_slice(), &[0, 0, 0, 0]);
+        let clocks = *dev.clocks.lock();
+        assert_eq!((clocks.gpu_free_ns, clocks.copy_free_ns), (0.0, 0.0));
     }
 }

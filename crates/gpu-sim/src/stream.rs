@@ -1,4 +1,4 @@
-//! CUDA-style streams and events.
+//! CUDA-style streams.
 //!
 //! A [`Stream`] is an ordered queue of operations. Operations on *different*
 //! streams overlap as long as they use different engines: the copy engine
@@ -6,30 +6,14 @@
 //! exactly the mechanism the paper exploits ("not only computation but also
 //! data transfer can be overlapped between the device and the host", §II).
 //!
-//! Execution is eager (the data moves / the kernel runs when the call is
-//! made) but *scheduling is simulated*: each operation is assigned a
-//! simulated interval starting no earlier than both the stream's cursor and
-//! the engine's availability, and the timeline records the interval. Callers
-//! must therefore submit operations in dependency order — the same
-//! discipline CUDA imposes within a stream.
+//! A stream moves no data and runs no code: each operation is a charge.
+//! It is assigned a simulated interval starting no earlier than both the
+//! stream's cursor and the engine's availability, and the timeline records
+//! the interval. Callers must therefore submit operations in dependency
+//! order, the same discipline CUDA imposes within a stream.
 
-use crate::device::{Device, DeviceBuffer, KernelStats};
-use crate::kernel::{Grid, KernelCtx};
+use crate::device::Device;
 use crate::timeline::{Resource, WorkUnit};
-
-/// A recorded point in a stream's simulated time, usable for cross-stream
-/// ordering.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Event {
-    at_ns: f64,
-}
-
-impl Event {
-    /// The simulated timestamp the event captured.
-    pub fn timestamp_ns(&self) -> f64 {
-        self.at_ns
-    }
-}
 
 /// An ordered operation queue on a device.
 pub struct Stream<'d> {
@@ -57,28 +41,9 @@ impl<'d> Stream<'d> {
         self.cursor_ns
     }
 
-    /// Asynchronous host→device copy: copies `host` into `dev` and accounts
-    /// a PCIe transfer.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn h2d<T: Copy>(&mut self, host: &[T], dev: &mut DeviceBuffer<T>) -> f64 {
-        assert_eq!(host.len(), dev.len(), "h2d length mismatch");
-        dev.as_mut_slice().copy_from_slice(host);
-        self.account_copy(std::mem::size_of_val(host))
-    }
-
-    /// Asynchronous device→host copy.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn d2h<T: Copy>(&mut self, dev: &DeviceBuffer<T>, host: &mut [T]) -> f64 {
-        assert_eq!(host.len(), dev.len(), "d2h length mismatch");
-        host.copy_from_slice(dev.as_slice());
-        self.account_copy(std::mem::size_of_val(host))
-    }
-
-    fn account_copy(&mut self, bytes: usize) -> f64 {
+    /// Charges a host↔device copy of `bytes` bytes to the PCIe copy engine
+    /// and returns its simulated duration in nanoseconds.
+    pub fn transfer(&mut self, bytes: usize) -> f64 {
         let dur = self.device.config().pcie.transfer_ns(bytes);
         let mut clocks = self.device.clocks.lock();
         let start = self.cursor_ns.max(clocks.copy_free_ns);
@@ -88,78 +53,35 @@ impl<'d> Stream<'d> {
         self.device
             .record(Resource::PcieLink, WorkUnit::Transfer, start, end);
         self.cursor_ns = end;
-        end
+        dur
     }
 
-    /// Launches a kernel on this stream.
-    pub fn launch<F>(&mut self, unit: WorkUnit, grid: Grid, f: F) -> KernelStats
-    where
-        F: Fn(&KernelCtx) + Sync,
-    {
-        let stats = self.device.execute(grid, f);
-        self.commit_kernel(unit, stats.sim_ns);
-        stats
-    }
-
-    /// Launches a one-element-per-thread kernel on this stream.
-    pub fn launch_map<T, F>(&mut self, unit: WorkUnit, data: &mut [T], f: F) -> KernelStats
-    where
-        T: Send,
-        F: Fn(&KernelCtx, &mut T) + Sync,
-    {
-        let stats = self.device.execute_map(data, f);
-        self.commit_kernel(unit, stats.sim_ns);
-        stats
-    }
-
-    /// Launches a state-plus-output-span kernel on this stream: each thread
-    /// owns one element of `a` and a `chunk`-sized span of `b`
-    /// (`b.len() == a.len() * chunk`). This is the shape of the paper's
-    /// GENERATE kernel — per-thread walk state plus a per-thread output
-    /// span.
-    pub fn launch_zip<A, B, F>(
-        &mut self,
-        unit: WorkUnit,
-        a: &mut [A],
-        b: &mut [B],
-        chunk: usize,
-        f: F,
-    ) -> KernelStats
-    where
-        A: Send,
-        B: Send,
-        F: Fn(&KernelCtx, &mut A, &mut [B]) + Sync,
-    {
-        let stats = self.device.execute_zip(a, b, chunk, f);
-        self.commit_kernel(unit, stats.sim_ns);
-        stats
-    }
-
-    fn commit_kernel(&mut self, unit: WorkUnit, sim_ns: f64) {
+    /// Charges a kernel of `threads` threads, each costing
+    /// `cycles_per_thread` cycles, to the compute engine, and returns its
+    /// simulated duration in nanoseconds.
+    ///
+    /// Warps go round-robin to the SMs, and an SM runs its warps back to
+    /// back at the `warp_size / cores_per_sm` issue factor. Every warp
+    /// costs the same, so the busiest SM, which sets the duration, runs
+    /// `ceil(ceil(threads / warp_size) / num_sms)` of them.
+    pub fn kernel(&mut self, unit: WorkUnit, threads: usize, cycles_per_thread: u64) -> f64 {
+        let cfg = self.device.config();
+        let rounds = threads.div_ceil(cfg.warp_size).div_ceil(cfg.num_sms) as u64;
+        let dur = cfg.cycles_to_ns(rounds * cycles_per_thread * cfg.issue_factor());
         let mut clocks = self.device.clocks.lock();
         let start = self.cursor_ns.max(clocks.gpu_free_ns);
-        let end = start + sim_ns;
+        let end = start + dur;
         clocks.gpu_free_ns = end;
         drop(clocks);
         self.device.record(Resource::Gpu, unit, start, end);
         self.cursor_ns = end;
+        dur
     }
 
-    /// Records an event at the stream's current simulated position.
-    pub fn record_event(&self) -> Event {
-        Event {
-            at_ns: self.cursor_ns,
-        }
-    }
-
-    /// Blocks this stream's next operation until `event` has completed.
-    pub fn wait_event(&mut self, event: Event) {
-        self.cursor_ns = self.cursor_ns.max(event.at_ns);
-    }
-
-    /// Advances the stream cursor to at least `t_ns` (used by host code that
-    /// produces inputs at a known simulated time — e.g. the FEED worker's
-    /// completion).
+    /// Holds this stream's next operation until simulated time `t_ns`
+    /// (host code that produces inputs at a known simulated time, such as
+    /// the FEED worker's completion, or another stream's
+    /// [`Stream::cursor_ns`]). The cursor never moves back.
     pub fn wait_until(&mut self, t_ns: f64) {
         self.cursor_ns = self.cursor_ns.max(t_ns);
     }
@@ -175,7 +97,6 @@ impl<'d> Stream<'d> {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
-    use crate::kernel::Op;
 
     fn tiny() -> Device {
         Device::new(DeviceConfig::test_tiny())
@@ -185,34 +106,18 @@ mod tests {
     fn h2d_copies_data_and_costs_transfer_time() {
         let dev = tiny();
         let mut s = Stream::new(&dev);
-        let host = vec![7u64; 128];
-        let mut buf = DeviceBuffer::zeroed(128);
-        let end = s.h2d(&host, &mut buf);
-        assert_eq!(buf.as_slice(), &host[..]);
-        // 1 µs latency + 1024 bytes at 1 GB/s (= 1 ns/byte).
-        assert!((end - (1_000.0 + 1_024.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn h2d_length_mismatch_panics() {
-        let dev = tiny();
-        let mut s = Stream::new(&dev);
-        let mut buf = DeviceBuffer::<u8>::zeroed(4);
-        s.h2d(&[1u8, 2], &mut buf);
+        // 128 words: 1 µs latency + 1024 bytes at 1 GB/s (= 1 ns/byte).
+        assert_eq!(s.transfer(128 * 8), 2_024.0);
+        assert_eq!(s.cursor_ns(), 2_024.0);
     }
 
     #[test]
     fn within_stream_operations_serialize() {
         let dev = tiny();
         let mut s = Stream::new(&dev);
-        let host = vec![0u8; 1000];
-        let mut buf = DeviceBuffer::zeroed(1000);
-        s.h2d(&host, &mut buf);
+        s.transfer(1000);
         let after_copy = s.cursor_ns();
-        s.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 100)
-        });
+        s.kernel(WorkUnit::Generate, 8, 100);
         let tl = dev.timeline();
         let kernel_iv = &tl.intervals()[1];
         assert_eq!(kernel_iv.start_ns, after_copy);
@@ -224,13 +129,9 @@ mod tests {
         let mut compute = Stream::new(&dev);
         let mut copy = Stream::new(&dev);
         // Long kernel on the compute stream.
-        compute.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 100_000)
-        });
+        compute.kernel(WorkUnit::Generate, 8, 100_000);
         // Copy on the other stream should start at t=0, under the kernel.
-        let host = vec![0u8; 100];
-        let mut buf = DeviceBuffer::zeroed(100);
-        copy.h2d(&host, &mut buf);
+        copy.transfer(100);
         let tl = dev.timeline();
         let kernel = &tl.intervals()[0];
         let xfer = &tl.intervals()[1];
@@ -249,29 +150,23 @@ mod tests {
         let dev = tiny();
         let mut a = Stream::new(&dev);
         let mut b = Stream::new(&dev);
-        a.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 100)
-        });
-        b.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 100)
-        });
+        a.kernel(WorkUnit::Generate, 8, 100);
+        b.kernel(WorkUnit::Generate, 8, 100);
         let tl = dev.timeline();
         assert_eq!(tl.intervals()[1].start_ns, tl.intervals()[0].end_ns);
     }
 
     #[test]
     fn events_order_across_streams() {
+        // A consumer stream waits on a producer's cursor, the simulated
+        // form of recording an event on one stream and waiting on it in
+        // another.
         let dev = tiny();
         let mut producer = Stream::new(&dev);
         let mut consumer = Stream::new(&dev);
-        let host = vec![0u8; 5000];
-        let mut buf = DeviceBuffer::zeroed(5000);
-        producer.h2d(&host, &mut buf);
-        let ready = producer.record_event();
-        consumer.wait_event(ready);
-        consumer.launch(WorkUnit::Generate, Grid::new(1, 8), |ctx| {
-            ctx.charge(Op::Alu, 1)
-        });
+        producer.transfer(5000);
+        consumer.wait_until(producer.cursor_ns());
+        consumer.kernel(WorkUnit::Generate, 8, 1);
         let tl = dev.timeline();
         let xfer_end = tl.intervals()[0].end_ns;
         let kernel_start = tl.intervals()[1].start_ns;
@@ -286,15 +181,5 @@ mod tests {
         assert_eq!(s.cursor_ns(), 100.0);
         s.wait_until(50.0);
         assert_eq!(s.cursor_ns(), 100.0);
-    }
-
-    #[test]
-    fn d2h_roundtrip() {
-        let dev = tiny();
-        let mut s = Stream::new(&dev);
-        let buf = DeviceBuffer::from_host(vec![3u32, 1, 4]);
-        let mut out = vec![0u32; 3];
-        s.d2h(&buf, &mut out);
-        assert_eq!(out, vec![3, 1, 4]);
     }
 }
