@@ -70,7 +70,9 @@ pub struct CudppSimResult {
 /// Simulates CUDPP RAND: per-thread MD5 counter streams filling a device
 /// batch (numbers are consumed from global memory, like the MT sample but
 /// without the host copy — CUDPP's rand is a device-to-device primitive).
-pub fn simulate_cudpp_md5(cfg: &DeviceConfig, _cost: &CostModel, n: usize) -> CudppSimResult {
+/// The kernel starts after the cost model's launch latency, as the MT and
+/// CURAND comparators' do.
+pub fn simulate_cudpp_md5(cfg: &DeviceConfig, cost: &CostModel, n: usize) -> CudppSimResult {
     assert!(n > 0, "cannot generate zero numbers");
     let wall = Instant::now();
     let device = Device::new(cfg.clone());
@@ -85,7 +87,7 @@ pub fn simulate_cudpp_md5(cfg: &DeviceConfig, _cost: &CostModel, n: usize) -> Cu
         }
         std::hint::black_box(acc);
     }
-    stream.wait_until(7_000.0);
+    stream.wait_until(cost.kernel_launch_ns);
     let cycles = cfg.alu_cycles * CUDPP_MD5_CYCLES_PER_OUTPUT * per_thread as u64;
     stream.kernel(WorkUnit::Generate, threads, cycles);
     CudppSimResult {
@@ -127,5 +129,22 @@ mod tests {
             })
             .collect();
         assert_eq!(got, [0x4134_a8d8_71c7_1c72, 0x4128_a996_42c8_590c]);
+    }
+
+    #[test]
+    fn cudpp_sim_charges_the_cost_models_launch_latency() {
+        let base = CostModel::default();
+        let mut slow = CostModel::default();
+        slow.kernel_launch_ns += 3_000.0;
+        for cfg in [DeviceConfig::tesla_c1060(), DeviceConfig::fermi_c2050()] {
+            let before = simulate_cudpp_md5(&cfg, &base, 100_003).sim_ns;
+            let after = simulate_cudpp_md5(&cfg, &slow, 100_003).sim_ns;
+            assert!(
+                (after - before - 3_000.0).abs() < 1e-6,
+                "{}: launch latency moved sim_ns by {}",
+                cfg.name,
+                after - before
+            );
+        }
     }
 }

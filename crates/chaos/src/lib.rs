@@ -12,7 +12,7 @@
 //!   rebuilds the identical scenario.
 //! * [`PlanHook`] — the [`hprng_transport::chaos::FaultHook`] that
 //!   executes a plan through the injection sites compiled into
-//!   `BlockRing`, `BlockPool`, and the shard workers (the `chaos`
+//!   `BlockRing`, the shard workers and the claimed-id lock (the `chaos`
 //!   feature of `hprng-transport`/`hprng-pool`; zero-cost when off).
 //! * [`run_schedule`] / [`run_soak`] — the soak harness: run the pool
 //!   under a schedule (or a seeded batch of them) and assert the

@@ -43,7 +43,7 @@ pub struct Periodic {
 /// plan{seed=0x2a shards=2 clients=3 prefetch=8 depth=2
 ///      failover=on words=256
 ///      faults=[panic(shard1@r4) stall(refill%5=1ms) stall(send%7=1ms)
-///              exhaust no-retain slow-consumer corrupt claim-panic]}
+///              slow-consumer corrupt claim-panic]}
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -71,10 +71,6 @@ pub struct FaultPlan {
     pub ring_send_stall: Option<Periodic>,
     /// Stall every N-th ring receive.
     pub ring_recv_stall: Option<Periodic>,
-    /// Deny arena checkouts: every block comes from the allocator.
-    pub arena_exhaust: bool,
-    /// Deny arena returns: every drained block is dropped.
-    pub arena_no_retain: bool,
     /// Consumer-side sleep between drain chunks (a slow consumer is a
     /// schedule behaviour, not a hook — the harness sleeps).
     pub slow_consumer: Option<Duration>,
@@ -118,8 +114,11 @@ impl FaultPlan {
         let refill_stall = periodic(1, 3, 2);
         let ring_send_stall = periodic(1, 5, 1);
         let ring_recv_stall = periodic(1, 5, 1);
-        let arena_exhaust = pick(4) == 0;
-        let arena_no_retain = pick(4) == 0;
+        // Retired picks: two one-in-four block-arena faults. The pool
+        // keeps no arena, but the picks are still drawn so every older
+        // seed derives its other faults unchanged.
+        pick(4);
+        pick(4);
         let slow_consumer = (pick(4) == 0).then(|| Duration::from_millis(1));
         let corrupt_checkpoint = pick(2) == 1;
         let claim_panic = pick(2) == 1;
@@ -136,8 +135,6 @@ impl FaultPlan {
             refill_stall,
             ring_send_stall,
             ring_recv_stall,
-            arena_exhaust,
-            arena_no_retain,
             slow_consumer,
             corrupt_checkpoint,
             claim_panic,
@@ -179,12 +176,6 @@ impl fmt::Display for FaultPlan {
                     format!("stall({name}%{}={}ms)", p.every, p.stall.as_millis()),
                 )?;
             }
-        }
-        if self.arena_exhaust {
-            item(f, "exhaust".into())?;
-        }
-        if self.arena_no_retain {
-            item(f, "no-retain".into())?;
         }
         if self.slow_consumer.is_some() {
             item(f, "slow-consumer".into())?;
@@ -290,8 +281,6 @@ impl FaultHook for PlanHook {
                 self.plan.ring_recv_stall,
                 self.ring_recvs.fetch_add(1, Ordering::Relaxed) + 1,
             ),
-            FaultPoint::ArenaCheckout if self.plan.arena_exhaust => FaultAction::Deny,
-            FaultPoint::ArenaGiveBack if self.plan.arena_no_retain => FaultAction::Deny,
             FaultPoint::ClaimLock if self.claim_armed.swap(false, Ordering::SeqCst) => {
                 FaultAction::Panic
             }
@@ -323,16 +312,17 @@ mod tests {
             FaultPlan::from_seed(6349198060258255764).to_string(),
             "plan{seed=0x581ce1ff0e4ae394 shards=2 clients=1 prefetch=32 depth=8 \
              failover=on words=355 \
-             faults=[panic(shard0@r5) stall(recv%9=1ms) exhaust corrupt claim-panic]}"
+             faults=[panic(shard0@r5) stall(recv%9=1ms) corrupt claim-panic]}"
         );
     }
 
     #[test]
     fn seeds_0_to_512_derive_their_pinned_plans() {
         // FNV-1a over every rendered plan, newline-terminated. Pinned from
-        // the plans as they rendered while the retired policy pick still
-        // chose a policy, with its ` policy=…` token stripped: dropping
-        // the policy moved no other fault of any seed.
+        // the plans as they rendered while the retired picks still chose a
+        // backpressure policy and two block-arena faults, with their
+        // ` policy=…`, ` exhaust` and ` no-retain` tokens stripped:
+        // retiring them moved no other fault of any seed.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for seed in 0..512u64 {
             let plan = FaultPlan::from_seed(seed).to_string();
@@ -341,7 +331,7 @@ mod tests {
                 hash = hash.wrapping_mul(0x0100_0000_01b3);
             }
         }
-        assert_eq!(hash, 0x8d55_898a_26bf_6912);
+        assert_eq!(hash, 0xf303_fbf3_1f84_620d);
     }
 
     #[test]

@@ -6,34 +6,29 @@ use std::sync::Arc;
 
 use hprng_core::{HprngError, OnDemandRng, StreamState};
 use hprng_telemetry::{Stage, WordTap};
-use hprng_transport::{bounded, BlockPool, Disconnect, RingReceiver, RingSender, ShutdownFlag};
+use hprng_transport::bounded;
 
-use crate::obs::ShardObs;
-use crate::pool::PoolShared;
+use crate::pool::{PoolShared, Rails};
 use crate::shard::{Reply, Request, StateReply};
 
 /// One consumer's handle onto the pool: lane `id` of the pool's seed.
 ///
 /// The stream this handle serves is a pure function of the pool seed, the
 /// session kind, and `id` — never of the shard count, the shard the
-/// client landed on, or how other clients interleave. Prefetch blocks
-/// circulate between the client and its shard through the shard's
-/// [`BlockPool`] arena, so the hot path ([`PoolClient::try_next_u64`],
-/// [`PoolClient::fill_words`]) is a slice copy with no allocation:
-/// drained blocks go back to the arena and refills are checked out of it
-/// shard-side.
+/// client landed on, or how other clients interleave. The client owns two
+/// prefetch blocks: it drains one while its shard refills the other, and
+/// each drained block rides back to the shard with the next refill
+/// request, so the hot path ([`PoolClient::try_next_u64`],
+/// [`PoolClient::fill_words`]) is a slice copy with no allocation.
 pub struct PoolClient {
     id: u64,
-    shard: usize,
     lanes: usize,
     /// `lane_seed(pool_seed, id)` — the seed the shard-side session is a
     /// pure function of, carried in every checkpoint this client emits.
     lane_seed: u64,
-    tx: RingSender<Request>,
-    rx: RingReceiver<Reply>,
-    /// The shard's block arena: drained front blocks are given back here
-    /// instead of to the allocator.
-    blocks: Arc<BlockPool>,
+    /// The serving shard (index, request sender and instruments) and this
+    /// client's reply receiver from it.
+    rails: Rails,
     front: Vec<u64>,
     pos: usize,
     failed: Option<HprngError>,
@@ -47,10 +42,9 @@ pub struct PoolClient {
     /// 1-in-N span sampling gate.
     requests: u64,
     tap: Option<Box<dyn WordTap>>,
-    shutdown: ShutdownFlag,
-    obs: Option<Arc<ShardObs>>,
-    /// The pool-wide serving fabric: shard senders, arenas, and metrics
-    /// for reattachment, plus the claimed-id registry released on drop.
+    /// The pool-wide serving fabric: shard senders and metrics for
+    /// reattachment, the shutdown flag, plus the claimed-id registry
+    /// released on drop.
     shared: Arc<PoolShared>,
     /// Automatic reattach-on-poison, from [`crate::PoolBuilder::failover`].
     failover_enabled: bool,
@@ -61,33 +55,25 @@ pub struct PoolClient {
 }
 
 impl PoolClient {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: u64,
-        shard: usize,
         lanes: usize,
         lane_seed: u64,
-        tx: RingSender<Request>,
-        rx: RingReceiver<Reply>,
+        rails: Rails,
         shared: Arc<PoolShared>,
         failover_enabled: bool,
     ) -> Self {
         Self {
             id,
-            shard,
             lanes,
             lane_seed,
-            tx,
-            rx,
-            blocks: Arc::clone(&shared.arenas[shard]),
+            rails,
             front: Vec::new(),
             pos: 0,
             failed: None,
             served: 0,
             requests: 0,
             tap: None,
-            shutdown: shared.shutdown.clone(),
-            obs: shared.obs.as_ref().map(|o| Arc::clone(&o.shards[shard])),
             shared,
             failover_enabled,
             resume_skip: 0,
@@ -112,7 +98,7 @@ impl PoolClient {
     /// The shard serving this client. Informational only — it never
     /// affects the stream.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.rails.shard
     }
 
     /// True once the stream has failed permanently (the error every
@@ -144,22 +130,17 @@ impl PoolClient {
     /// (expander walks, engines), carries the exact walk vertices and
     /// feed cursors for an O(cursor) restore.
     pub fn session_checkpoint(&mut self) -> Result<StreamState, HprngError> {
-        let disconnected = |client: &Self| match client.shutdown.classify_disconnect() {
-            Disconnect::Shutdown => HprngError::PoolShutdown,
-            Disconnect::Poisoned => HprngError::ShardPoisoned {
-                shard: client.shard,
-            },
-        };
         let (reply_tx, reply_rx) = bounded::<StateReply>(1);
-        self.tx
+        self.rails
+            .tx
             .send(Request::Checkpoint {
                 client: self.id,
                 reply: reply_tx,
             })
-            .map_err(|_| disconnected(self))?;
+            .map_err(|_| self.shared.disconnected(self.rails.shard))?;
         match reply_rx.recv() {
             Some(result) => result,
-            None => Err(disconnected(self)),
+            None => Err(self.shared.disconnected(self.rails.shard)),
         }
     }
 
@@ -180,67 +161,32 @@ impl PoolClient {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        if target == self.shard {
+        if target == self.rails.shard {
             return Ok(());
         }
         let state = self.checkpoint();
-        let old_tx = self.tx.clone();
-        self.reattach(target, &state)?;
+        let old = self.reattach(target, &state)?;
         // Graceful: free the old session. The old worker may still be
         // filling owed refills; their reply sends fail (the old reply
-        // receiver is gone) and the worker recycles those blocks itself.
-        let _ = old_tx.send(Request::Detach { client: self.id });
+        // receiver is gone) and the worker drops those blocks.
+        let _ = old.tx.send(Request::Detach { client: self.id });
         self.shared.migrations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Attaches a resumed session on shard `target` and swaps this
-    /// client's serving rails over to it. On error the client is
-    /// untouched and keeps serving from its current shard.
-    fn reattach(&mut self, target: usize, state: &StreamState) -> Result<(), HprngError> {
-        let tx = self.shared.txs[target].clone();
-        let obs = self
-            .shared
-            .obs
-            .as_ref()
-            .map(|o| Arc::clone(&o.shards[target]));
-        let (reply_tx, reply_rx) = bounded::<Reply>(2);
-        let unavailable = HprngError::ShardPoisoned { shard: target };
-        tx.send(Request::Attach {
-            client: self.id,
-            reply: reply_tx,
-            resume: Some(Box::new(state.clone())),
-        })
-        .map_err(|_| unavailable.clone())?;
-        for _ in 0..2 {
-            if tx
-                .send(Request::Refill {
-                    client: self.id,
-                    enqueued_ns: obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
-                })
-                .is_err()
-            {
-                // Half-admitted: the target accepted the attach but died
-                // before the prefetch was primed. Free the orphan session
-                // best-effort and stay on the current shard.
-                let _ = tx.send(Request::Detach { client: self.id });
-                return Err(unavailable);
-            }
-        }
-        // Point of no return: drop the local buffers (the resumed session
-        // regenerates their words) and swap every per-shard rail.
-        let front = std::mem::take(&mut self.front);
-        if front.capacity() > 0 {
-            self.blocks.give_back(front);
-        }
+    /// client's serving rails over to it, returning the old rails. On
+    /// error the client is untouched and keeps serving from its current
+    /// shard.
+    fn reattach(&mut self, target: usize, state: &StreamState) -> Result<Rails, HprngError> {
+        let rails = self.shared.attach(self.id, target, Some(state))?;
+        // Point of no return: drop the front (the resumed session
+        // regenerates its words; the target primed two fresh blocks) and
+        // swap the rails.
+        self.front = Vec::new();
         self.pos = 0;
-        self.shard = target;
-        self.tx = tx;
-        self.rx = reply_rx;
-        self.blocks = Arc::clone(&self.shared.arenas[target]);
-        self.obs = obs;
         self.resume_skip = (state.session_words % self.lanes as u64) as usize;
-        Ok(())
+        Ok(std::mem::replace(&mut self.rails, rails))
     }
 
     /// The automatic failover path: on a poisoned-shard disconnect,
@@ -248,15 +194,13 @@ impl PoolClient {
     /// healthy shard. Returns `true` when the stream was re-established
     /// (the caller retries its receive on the new shard).
     fn try_failover(&mut self) -> bool {
-        if !self.failover_enabled
-            || matches!(self.shutdown.classify_disconnect(), Disconnect::Shutdown)
-        {
+        if !self.failover_enabled || self.shared.shutdown.is_requested() {
             return false;
         }
         let state = self.checkpoint();
         let shards = self.shared.txs.len();
         for offset in 1..=shards {
-            let target = (self.shard + offset) % shards;
+            let target = (self.rails.shard + offset) % shards;
             if self.shared.metrics[target].poisoned.is_poisoned() {
                 continue;
             }
@@ -269,7 +213,7 @@ impl PoolClient {
     }
 
     /// The next word of this client's stream. Allocation-free: served
-    /// from the prefetch cache, which refills through arena blocks.
+    /// from the front prefetch block, which the shard refills in place.
     pub fn try_next_u64(&mut self) -> Result<u64, HprngError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -310,7 +254,7 @@ impl PoolClient {
         // Span sampling gate: 1-in-N requests get timed end-to-end. The
         // name formatting and span push happen only on sampled requests;
         // untraced requests pay two `None` checks.
-        let trace = match &self.obs {
+        let trace = match &self.rails.obs {
             Some(o) if self.requests.is_multiple_of(o.sample_every) => {
                 Some((Arc::clone(o), o.now_ns()))
             }
@@ -333,7 +277,7 @@ impl PoolClient {
             let acquired = if let Some((o, _)) = &trace {
                 let t0 = o.now_ns();
                 let r = self.acquire();
-                wait_ns += self.obs.as_ref().map_or(0.0, |o| o.now_ns()) - t0;
+                wait_ns += o.now_ns() - t0;
                 r
             } else {
                 self.acquire()
@@ -371,27 +315,28 @@ impl PoolClient {
     /// healthy shard and retries there instead of failing.
     fn acquire(&mut self) -> Result<(), HprngError> {
         loop {
-            // Return the exhausted front to the arena and request one
-            // refill for it. The initial placeholder (capacity 0; the real
-            // blocks start shard-side) is not a block and must not become
-            // one. On a failover retry the front is already an empty
-            // placeholder, so nothing is double-returned or re-requested.
-            let old = std::mem::take(&mut self.front);
+            // Send the drained front back with a refill request: the shard
+            // overwrites it and returns it on the reply ring. The initial
+            // placeholder (capacity 0: the two priming refills are already
+            // in flight) is not a block and requests nothing. On a
+            // failover retry the front is already that placeholder, so
+            // nothing is requested twice.
+            let block = std::mem::take(&mut self.front);
             self.pos = 0;
-            if old.capacity() > 0 {
-                self.blocks.give_back(old);
+            if block.capacity() > 0 {
                 // A failed send (the shard is gone) is not failed here:
                 // that would skip failover entirely (and drop any
                 // still-buffered replies). The receive below drains what
                 // is left, classifies the disconnect, and reattaches when
                 // failover is enabled — reattachment re-primes the
                 // prefetch, so the refill is never missed.
-                let _ = self.tx.send(Request::Refill {
+                let _ = self.rails.tx.send(Request::Refill {
                     client: self.id,
-                    enqueued_ns: self.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
+                    block,
+                    enqueued_ns: self.rails.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
                 });
             }
-            match self.rx.recv() {
+            match self.rails.rx.recv() {
                 Some(reply) => return self.install(reply),
                 None => {
                     if self.try_failover() {
@@ -430,10 +375,7 @@ impl PoolClient {
     }
 
     fn fail_disconnected(&mut self) -> HprngError {
-        let e = match self.shutdown.classify_disconnect() {
-            Disconnect::Shutdown => HprngError::PoolShutdown,
-            Disconnect::Poisoned => HprngError::ShardPoisoned { shard: self.shard },
-        };
+        let e = self.shared.disconnected(self.rails.shard);
         self.fail(e)
     }
 }
@@ -495,16 +437,10 @@ impl OnDemandRng for PoolClient {
 
 impl Drop for PoolClient {
     fn drop(&mut self) {
-        // Hand cached blocks back to the arena so a churned client
-        // leaves nothing for the allocator.
-        let front = std::mem::take(&mut self.front);
-        if front.capacity() > 0 {
-            self.blocks.give_back(front);
-        }
         // Best-effort: free the shard-side session. A dead shard returns
         // an error we ignore; a full queue drains because the worker
         // always makes progress.
-        let _ = self.tx.send(Request::Detach { client: self.id });
+        let _ = self.rails.tx.send(Request::Detach { client: self.id });
         // Release the id claim so churned clients do not leak lane
         // indices out of the auto-assignment space forever.
         self.shared.release(self.id);
@@ -515,7 +451,7 @@ impl std::fmt::Debug for PoolClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolClient")
             .field("id", &self.id)
-            .field("shard", &self.shard)
+            .field("shard", &self.rails.shard)
             .field("lanes", &self.lanes)
             .field("served", &self.served)
             .finish_non_exhaustive()

@@ -19,10 +19,11 @@
 //!
 //! Flow control is explicit and built on the workspace transport layer
 //! (`hprng-transport`): each shard's request queue is a bounded
-//! [`hprng_transport::BlockRing`] (clients clone the sender), prefetch
-//! blocks circulate through a per-shard [`hprng_transport::BlockPool`]
-//! arena instead of the allocator, and a client whose shard falls behind
-//! blocks until its refill arrives. A request returns its lane's words,
+//! [`hprng_transport::BlockRing`] (clients clone the sender), each client
+//! owns two prefetch blocks that travel to its shard with a refill
+//! request and come back refilled on its reply ring (the paper's
+//! double buffer, with no allocation once both exist), and a client
+//! whose shard falls behind blocks until its refill arrives. A request returns its lane's words,
 //! fails over to a healthy shard ([`PoolBuilder::failover`]), or fails
 //! for good; it never serves another stream's words and never asks the
 //! caller to retry. A worker panic poisons only its own shard

@@ -9,13 +9,22 @@ use std::thread::JoinHandle;
 use hprng_core::{HprngError, SplitOnDemand, StreamState};
 use hprng_telemetry::{Recorder, Registry};
 use hprng_transport::{
-    bounded, bounded_instrumented, BlockPool, Disconnect, RingSender, ShutdownFlag,
+    bounded, bounded_instrumented, Disconnect, RingReceiver, RingSender, ShutdownFlag,
 };
 
 use crate::client::PoolClient;
 use crate::config::{PoolBuilder, SessionKind};
-use crate::obs::{names, PoolObs};
+use crate::obs::{names, PoolObs, ShardObs};
 use crate::shard::{self, Reply, Request, ShardMetrics};
+
+/// One client's serving rails on one shard: the shard's request sender,
+/// the client's own reply receiver, and the shard's instruments.
+pub(crate) struct Rails {
+    pub(crate) shard: usize,
+    pub(crate) tx: RingSender<Request>,
+    pub(crate) rx: RingReceiver<Reply>,
+    pub(crate) obs: Option<Arc<ShardObs>>,
+}
 
 /// The per-shard serving fabric, shared between the [`Pool`] handle and
 /// every live [`PoolClient`]. Clients hold an `Arc` so they can reattach
@@ -24,8 +33,6 @@ use crate::shard::{self, Reply, Request, ShardMetrics};
 pub(crate) struct PoolShared {
     pub(crate) shutdown: ShutdownFlag,
     pub(crate) txs: Vec<RingSender<Request>>,
-    /// One block arena per shard, shared with the worker and its clients.
-    pub(crate) arenas: Vec<Arc<BlockPool>>,
     pub(crate) metrics: Vec<Arc<ShardMetrics>>,
     /// Present when [`PoolBuilder::tracing`] enabled request-path
     /// observability.
@@ -90,6 +97,53 @@ impl PoolShared {
             .len()
     }
 
+    /// Attaches client `id` on `shard`, resumed onto `resume` when given,
+    /// and primes its double buffer: two refills in flight, so the shard
+    /// fills one block while the client drains the other. Both carry an
+    /// empty block, which the worker allocates once; from then on the
+    /// client sends each drained block back with its next refill.
+    pub(crate) fn attach(
+        &self,
+        id: u64,
+        shard: usize,
+        resume: Option<&StreamState>,
+    ) -> Result<Rails, HprngError> {
+        let tx = self.txs[shard].clone();
+        let obs = self.obs.as_ref().map(|o| Arc::clone(&o.shards[shard]));
+        let (reply_tx, rx) = bounded::<Reply>(2);
+        tx.send(Request::Attach {
+            client: id,
+            reply: reply_tx,
+            resume: resume.map(|state| Box::new(state.clone())),
+        })
+        .map_err(|_| self.disconnected(shard))?;
+        for _ in 0..2 {
+            let refill = Request::Refill {
+                client: id,
+                block: Vec::new(),
+                enqueued_ns: obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
+            };
+            if tx.send(refill).is_err() {
+                // Half-admitted: the shard accepted the attach but died
+                // before the prefetch was primed. Free the orphan session
+                // best-effort.
+                let _ = tx.send(Request::Detach { client: id });
+                return Err(self.disconnected(shard));
+            }
+        }
+        Ok(Rails { shard, tx, rx, obs })
+    }
+
+    /// What a disconnected ring to `shard` means: an orderly
+    /// [`HprngError::PoolShutdown`] once the pool's shutdown flag is up,
+    /// otherwise [`HprngError::ShardPoisoned`].
+    pub(crate) fn disconnected(&self, shard: usize) -> HprngError {
+        match self.shutdown.classify_disconnect() {
+            Disconnect::Shutdown => HprngError::PoolShutdown,
+            Disconnect::Poisoned => HprngError::ShardPoisoned { shard },
+        }
+    }
+
     /// The first healthy shard at or after `id`'s home shard (wrapping);
     /// the home shard itself when every shard is poisoned (the attach
     /// will then fail with the honest [`HprngError::ShardPoisoned`]).
@@ -126,10 +180,11 @@ impl PoolShared {
 ///
 /// The serving path is built on [`hprng_transport`]: each shard's request
 /// queue is a bounded [`hprng_transport::BlockRing`] (MPSC — clients
-/// clone the sender), prefetch blocks circulate through a per-shard
-/// [`BlockPool`] arena instead of the allocator, and shutdown follows the
-/// [`ShutdownFlag`]-before-close protocol so disconnects classify as
-/// [`HprngError::PoolShutdown`] vs [`HprngError::ShardPoisoned`].
+/// clone the sender), each client's two prefetch blocks travel to its
+/// shard with a refill request and back with the reply, and shutdown
+/// follows the [`ShutdownFlag`]-before-close protocol so disconnects
+/// classify as [`HprngError::PoolShutdown`] vs
+/// [`HprngError::ShardPoisoned`].
 ///
 /// The pool implements [`SplitOnDemand`], so the parallel applications
 /// (photon migration's per-chunk lanes) run on it unchanged.
@@ -152,10 +207,7 @@ impl Pool {
     pub(crate) fn spawn(builder: PoolBuilder, shards: usize) -> Self {
         let shutdown = ShutdownFlag::new();
         let obs = builder.trace_sample_every.map(|n| PoolObs::new(shards, n));
-        let lanes = builder.kind.lanes().max(1);
-        let chunk = builder.prefetch_words.div_ceil(lanes) * lanes;
         let mut txs = Vec::with_capacity(shards);
-        let mut arenas = Vec::with_capacity(shards);
         let mut metrics = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for index in 0..shards {
@@ -168,34 +220,19 @@ impl Pool {
                 }
                 None => bounded(builder.queue_depth),
             };
-            // Retention bound: enough free blocks to cover a full request
-            // queue of refills plus the pair each client keeps in flight;
-            // beyond that, returned blocks are dropped rather than cached.
-            let blocks = Arc::new(BlockPool::new(chunk, (2 * builder.queue_depth).max(8)));
             let shard_metrics = Arc::new(ShardMetrics::default());
             let kind = builder.kind.clone();
             let seed = builder.seed;
             let prefetch = builder.prefetch_words;
-            let worker_blocks = Arc::clone(&blocks);
             let worker_metrics = Arc::clone(&shard_metrics);
             let worker_obs = obs.as_ref().map(|o| Arc::clone(&o.shards[index]));
             let handle = std::thread::Builder::new()
                 .name(format!("hprng-pool-shard-{index}"))
                 .spawn(move || {
-                    shard::run(
-                        index,
-                        seed,
-                        kind,
-                        prefetch,
-                        worker_blocks,
-                        worker_metrics,
-                        worker_obs,
-                        rx,
-                    )
+                    shard::run(index, seed, kind, prefetch, worker_metrics, worker_obs, rx)
                 })
                 .expect("spawning a pool shard worker thread");
             txs.push(tx);
-            arenas.push(blocks);
             metrics.push(shard_metrics);
             handles.push(handle);
         }
@@ -203,7 +240,6 @@ impl Pool {
             shared: Arc::new(PoolShared {
                 shutdown,
                 txs,
-                arenas,
                 metrics,
                 obs,
                 claimed: Mutex::new(HashMap::new()),
@@ -357,39 +393,12 @@ impl Pool {
         shard: usize,
         resume: Option<&StreamState>,
     ) -> Result<PoolClient, HprngError> {
-        let tx = self.shared.txs[shard].clone();
-        let (reply_tx, reply_rx) = bounded::<Reply>(2);
-        let shard_obs = self
-            .shared
-            .obs
-            .as_ref()
-            .map(|o| Arc::clone(&o.shards[shard]));
-        let admission_failed = |pool: &Self| match pool.shared.shutdown.classify_disconnect() {
-            Disconnect::Shutdown => HprngError::PoolShutdown,
-            Disconnect::Poisoned => HprngError::ShardPoisoned { shard },
-        };
-        tx.send(Request::Attach {
-            client: id,
-            reply: reply_tx,
-            resume: resume.map(|state| Box::new(state.clone())),
-        })
-        .map_err(|_| admission_failed(self))?;
-        // Two refills in flight give the double-buffered prefetch: the
-        // shard fills one block while the client drains the other.
-        for _ in 0..2 {
-            tx.send(Request::Refill {
-                client: id,
-                enqueued_ns: shard_obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
-            })
-            .map_err(|_| admission_failed(self))?;
-        }
+        let rails = self.shared.attach(id, shard, resume)?;
         let mut client = PoolClient::new(
             id,
-            shard,
             self.kind.lanes().max(1),
             hprng_core::seeding::lane_seed(self.seed, id),
-            tx,
-            reply_rx,
+            rails,
             Arc::clone(&self.shared),
             self.failover,
         );

@@ -8,14 +8,13 @@ use std::sync::Arc;
 
 use hprng_core::{HprngError, OnDemandRng, StreamState};
 use hprng_telemetry::Stage;
-use hprng_transport::{BlockPool, PoisonFlag, PoisonGuard, RingReceiver, RingSender, SendError};
+use hprng_transport::{PoisonFlag, PoisonGuard, RingReceiver, RingSender};
 
 use crate::config::SessionKind;
 use crate::obs::ShardObs;
 
-/// A refilled prefetch block (or why the refill failed). Blocks are
-/// checked out of the shard's [`BlockPool`] arena and given back by the
-/// client once drained.
+/// A refilled prefetch block (or why the refill failed): the block the
+/// client sent with its [`Request::Refill`], overwritten in place.
 pub(crate) type Reply = Result<Vec<u64>, HprngError>;
 
 /// The answer to a [`Request::Checkpoint`]: the session's resumable state
@@ -54,13 +53,16 @@ pub(crate) enum Request {
         /// Where the captured state goes (capacity 1 is enough).
         reply: RingSender<StateReply>,
     },
-    /// Refill one prefetch block of `client`'s stream — checked out of
-    /// the shared arena shard-side, sent back on the client's reply
-    /// channel, and returned to the arena by the client once drained.
-    /// The steady-state serving path allocates nothing.
+    /// Refill one prefetch block of `client`'s stream: the worker
+    /// overwrites `block` and sends it back on the client's reply
+    /// channel. Each client owns its two blocks, so the steady-state
+    /// serving path allocates nothing.
     Refill {
         /// Which client's session to draw from.
         client: u64,
+        /// The client's drained block. Empty on the two requests that
+        /// prime a client's double buffer; the worker allocates it then.
+        block: Vec<u64>,
         /// When the request entered the queue, in nanoseconds on the
         /// pool's tracing epoch — the worker computes enqueue-wait from
         /// it at dequeue. `NaN` when tracing is off.
@@ -168,13 +170,11 @@ fn build_session(
 
 /// The worker loop. Runs on its own thread until [`Request::Shutdown`]
 /// arrives or every request sender is gone.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     shard: usize,
     pool_seed: u64,
     kind: SessionKind,
     prefetch_words: usize,
-    blocks: Arc<BlockPool>,
     metrics: Arc<ShardMetrics>,
     obs: Option<Arc<ShardObs>>,
     rx: RingReceiver<Request>,
@@ -243,6 +243,7 @@ pub(crate) fn run(
             }
             Request::Refill {
                 client,
+                mut block,
                 enqueued_ns,
             } => {
                 if let Some(o) = &obs {
@@ -252,31 +253,33 @@ pub(crate) fn run(
                     }
                 }
                 let Some(slot) = slots.get_mut(&client) else {
-                    continue; // detached (or attach failed) — nothing to refill
+                    continue; // detached (or attach failed): drop the block
                 };
                 // Chaos: a Panic here kills the worker mid-serve (the
-                // PoisonGuard above marks the shard during the unwind); a
-                // Stall models a slow session. Fired before the block is
-                // checked out so an injected panic leaks nothing from the
-                // arena.
+                // PoisonGuard above marks the shard during the unwind, and
+                // the block in hand unwinds with it); a Stall models a
+                // slow session.
                 #[cfg(feature = "chaos")]
                 hprng_transport::chaos::act(hprng_transport::chaos::FaultPoint::ShardRefill {
                     shard,
                 });
-                let mut buf = blocks.checkout_zeroed(slot.chunk);
+                // A no-op once primed; every word is overwritten below.
+                block.resize(slot.chunk, 0);
                 let lanes = slot.session.lanes().max(1);
                 let service_start = obs.as_ref().map(|o| o.now_ns());
-                let result = buf
+                let result = block
                     .chunks_mut(lanes)
                     .try_for_each(|chunk| slot.session.try_next_batch_into(chunk));
                 let reply = match result {
                     Ok(()) => {
                         metrics.refills.fetch_add(1, Ordering::Relaxed);
-                        metrics.words.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                        metrics
+                            .words
+                            .fetch_add(block.len() as u64, Ordering::Relaxed);
                         if let (Some(o), Some(start)) = (&obs, service_start) {
                             let end = o.now_ns();
                             o.service_ns.record_ns((end - start).max(0.0) as u64);
-                            o.words.add(buf.len() as u64);
+                            o.words.add(block.len() as u64);
                             served_refills += 1;
                             if served_refills.is_multiple_of(o.sample_every) {
                                 o.record_span(
@@ -287,20 +290,16 @@ pub(crate) fn run(
                                 );
                             }
                         }
-                        Ok(buf)
+                        Ok(block)
                     }
                     Err(e) => {
                         metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        blocks.give_back(buf);
                         Err(e)
                     }
                 };
-                if let Err(SendError(reply)) = slot.reply.send(reply) {
+                if slot.reply.send(reply).is_err() {
                     // Client dropped its receiver without detaching; the
-                    // undelivered block goes back to the arena.
-                    if let Ok(buf) = reply {
-                        blocks.give_back(buf);
-                    }
+                    // undelivered block is dropped with the reply.
                     slots.remove(&client);
                     metrics.clients.fetch_sub(1, Ordering::Relaxed);
                 }

@@ -1,15 +1,14 @@
 //! Deterministic fault-injection hooks (the `chaos` feature).
 //!
 //! The transport layer is where every serving-path failure ultimately
-//! manifests — a ring that stalls, an arena that stops recycling, a
-//! worker that dies mid-refill. This module is the registry those
-//! injection sites consult: a single process-wide [`FaultHook`] decides,
-//! per [`FaultPoint`], whether the site proceeds normally, stalls,
-//! panics, or is denied. The `hprng-chaos` crate installs hooks driven
-//! by a seeded, replayable `FaultPlan`; production builds compile the
-//! whole module (and every call site) out — the feature is off by
-//! default, and CI builds the workspace without it to prove the hooks
-//! vanish.
+//! manifests — a ring that stalls, a worker that dies mid-refill. This
+//! module is the registry those injection sites consult: a single
+//! process-wide [`FaultHook`] decides, per [`FaultPoint`], whether the
+//! site proceeds normally, stalls, or panics. The `hprng-chaos` crate
+//! installs hooks driven by a seeded, replayable `FaultPlan`; production
+//! builds compile the whole module (and every call site) out — the
+//! feature is off by default, and CI builds the workspace without it to
+//! prove the hooks vanish.
 //!
 //! Layering note: the pool-level points ([`FaultPoint::ShardRefill`],
 //! [`FaultPoint::ClaimLock`]) live in this enum too, because the
@@ -38,14 +37,6 @@ pub enum FaultPoint {
     /// Entry of [`crate::RingReceiver::recv`], before the ring lock is
     /// taken. Stalling here models a slow consumer.
     RingRecv,
-    /// [`crate::BlockPool::checkout`], before the free list is consulted.
-    /// [`FaultAction::Deny`] forces the allocator path — the arena
-    /// behaves as if exhausted.
-    ArenaCheckout,
-    /// [`crate::BlockPool::give_back`], before the free list is
-    /// consulted. [`FaultAction::Deny`] drops the block instead of
-    /// caching it — retention collapses to zero.
-    ArenaGiveBack,
     /// A pool shard worker about to serve one `Refill` request.
     /// [`FaultAction::Panic`] kills the worker mid-serve (the poisoning
     /// path); [`FaultAction::Stall`] models a slow session.
@@ -73,10 +64,6 @@ pub enum FaultAction {
     /// point — a worker panic poisons its shard, a claim panic poisons
     /// the claimed-id mutex.
     Panic,
-    /// Refuse the optional behaviour of the site (arena recycling);
-    /// sites where refusal is meaningless treat this as
-    /// [`FaultAction::Proceed`].
-    Deny,
 }
 
 /// A fault decision source, installed process-wide with [`install`].
@@ -131,27 +118,12 @@ pub fn decide(point: FaultPoint) -> FaultAction {
 }
 
 /// Fires `point` and performs the side-effecting actions inline: stall
-/// sleeps, panic unwinds. Returns normally on [`FaultAction::Proceed`]
-/// and [`FaultAction::Deny`] (use [`denies`] where refusal matters).
+/// sleeps, panic unwinds. Returns normally on [`FaultAction::Proceed`].
 pub fn act(point: FaultPoint) {
     match decide(point) {
         FaultAction::Stall(d) => std::thread::sleep(d),
         FaultAction::Panic => panic!("chaos: injected fault at {point:?}"),
-        FaultAction::Proceed | FaultAction::Deny => {}
-    }
-}
-
-/// Fires `point` and reports whether the site's optional behaviour is
-/// denied; stalls and panics are performed inline like [`act`].
-pub fn denies(point: FaultPoint) -> bool {
-    match decide(point) {
-        FaultAction::Stall(d) => {
-            std::thread::sleep(d);
-            false
-        }
-        FaultAction::Panic => panic!("chaos: injected fault at {point:?}"),
-        FaultAction::Deny => true,
-        FaultAction::Proceed => false,
+        FaultAction::Proceed => {}
     }
 }
 
@@ -163,12 +135,14 @@ mod tests {
     /// The registry is process-global; these tests serialize on it.
     static SERIAL: Mutex<()> = Mutex::new(());
 
-    struct DenyArena(AtomicU64);
-    impl FaultHook for DenyArena {
+    const STALL: FaultAction = FaultAction::Stall(Duration::from_nanos(1));
+
+    struct StallSends(AtomicU64);
+    impl FaultHook for StallSends {
         fn decide(&self, point: FaultPoint) -> FaultAction {
             self.0.fetch_add(1, Ordering::Relaxed);
             match point {
-                FaultPoint::ArenaCheckout => FaultAction::Deny,
+                FaultPoint::RingSend => STALL,
                 _ => FaultAction::Proceed,
             }
         }
@@ -178,19 +152,23 @@ mod tests {
     fn no_hook_means_proceed_everywhere() {
         let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(decide(FaultPoint::RingSend), FaultAction::Proceed);
-        assert!(!denies(FaultPoint::ArenaCheckout));
+        assert_eq!(decide(FaultPoint::ClaimLock), FaultAction::Proceed);
     }
 
     #[test]
     fn install_routes_decisions_and_uninstalls_on_drop() {
         let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        let hook = Arc::new(DenyArena(AtomicU64::new(0)));
+        let hook = Arc::new(StallSends(AtomicU64::new(0)));
         let guard = install(Arc::clone(&hook) as Arc<dyn FaultHook>);
-        assert!(denies(FaultPoint::ArenaCheckout));
+        assert_eq!(decide(FaultPoint::RingSend), STALL);
         assert_eq!(decide(FaultPoint::RingRecv), FaultAction::Proceed);
         assert!(hook.0.load(Ordering::Relaxed) >= 2);
         drop(guard);
-        assert!(!denies(FaultPoint::ArenaCheckout), "hook leaked past drop");
+        assert_eq!(
+            decide(FaultPoint::RingSend),
+            FaultAction::Proceed,
+            "hook leaked past drop"
+        );
     }
 
     #[test]

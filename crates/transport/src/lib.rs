@@ -5,9 +5,9 @@
 //! pre-generated words travel from the thread that made them to the
 //! thread that serves them. This crate is the one implementation of that
 //! path, with one backpressure, shutdown, and poisoning protocol. The
-//! sharded pool uses it two ways: for its shard request queues and
-//! reply rings, and for recycling each client's double-buffered prefetch
-//! blocks.
+//! sharded pool uses it for its shard request queues and reply rings;
+//! each client's two prefetch blocks travel on them, out with a refill
+//! request and back with its reply.
 //!
 //! * [`ring`] — [`BlockRing`]: a bounded blocking MPSC ring generalizing
 //!   the paper's two-slot PCIe double buffer.
@@ -15,11 +15,6 @@
 //!   [`RingReceiver::recv`], clean shutdown on drop from either side,
 //!   optional transport-level queue-depth instrumentation
 //!   ([`RingInstruments`]).
-//! * [`arena`] — [`BlockPool`]: a recycled-buffer arena for `Vec<u64>`
-//!   blocks. Steady-state checkout/return is allocation-free, returned
-//!   blocks are cleared (so [`BlockPool::checkout_zeroed`] can promise
-//!   all-zero content), and oversized blocks are shrunk on return so one
-//!   peak request cannot pin its capacity forever.
 //! * [`shutdown`] — the shutdown-flag-before-close protocol:
 //!   [`ShutdownFlag`] is flipped *before* any queue closes so a
 //!   disconnected peer can [`classify`](ShutdownFlag::classify_disconnect)
@@ -27,9 +22,9 @@
 //!   crash, and [`PoisonGuard`] marks a [`PoisonFlag`] if a worker
 //!   unwinds — a dead worker is observable state, not a silent hang.
 //! * `chaos` (feature `chaos`, off by default) — the deterministic
-//!   fault-injection registry: ring, arena, and pool-worker call sites
-//!   consult a process-wide hook that can stall, panic, or deny at a
-//!   named `FaultPoint`. Compiled out entirely without the feature.
+//!   fault-injection registry: the ring, shard-worker and claim-lock call
+//!   sites consult a process-wide hook that can stall or panic at a named
+//!   `FaultPoint`. Compiled out entirely without the feature.
 //!
 //! The sharded pool (`hprng-pool`) is a thin layer over these types; its
 //! golden bit-identity suites prove the transport is invisible in the
@@ -39,13 +34,11 @@
 #![deny(deprecated)]
 #![warn(missing_docs)]
 
-pub mod arena;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod ring;
 pub mod shutdown;
 
-pub use arena::{ArenaStats, BlockPool};
 pub use ring::{
     bounded, bounded_instrumented, BlockRing, RingInstruments, RingReceiver, RingSender, SendError,
 };

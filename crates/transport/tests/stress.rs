@@ -3,14 +3,13 @@
 //!
 //! The unit tests in `ring` pin the protocol; these tests hammer the
 //! edges: many rapid create/teardown cycles, shutdown while the producer
-//! is blocked mid-send, panicking producers, and a producer that dies
-//! mid-block with an arena checkout in hand (the pool's refill path).
-//! Failures here look like hangs, so everything is kept small enough
-//! that a deadlock trips the test harness timeout rather than burning CI
-//! minutes. CI runs this suite with `RUST_TEST_THREADS=1` so a hang is
-//! attributable to one scenario.
+//! is blocked mid-send, and panicking producers. Failures here look like
+//! hangs, so everything is kept small enough that a deadlock trips the
+//! test harness timeout rather than burning CI minutes. CI runs this
+//! suite with `RUST_TEST_THREADS=1` so a hang is attributable to one
+//! scenario.
 
-use hprng_transport::{bounded, BlockPool};
+use hprng_transport::bounded;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -101,40 +100,6 @@ fn panicking_producer_surfaces_as_end_of_stream_not_hang() {
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(rx.recv(), None, "panic must close the stream");
         assert!(producer.join().is_err());
-    }
-}
-
-#[test]
-fn producer_panic_mid_block_with_arena_checkout_in_hand() {
-    // The pool's refill path: the shard worker checks a block out of the
-    // arena, fills it from the session, and sends it. If the session
-    // panics mid-fill, the checked-out block unwinds with the worker —
-    // the consumer must see end-of-stream, the arena must stay usable,
-    // and nothing may hang or double-hand-out the lost block.
-    for round in 0..50 {
-        let arena = Arc::new(BlockPool::new(64, 4));
-        let (tx, rx) = bounded::<Vec<u64>>(2);
-        let worker_arena = Arc::clone(&arena);
-        let producer = thread::spawn(move || {
-            // One clean refill round-trip first.
-            let mut block = worker_arena.checkout_zeroed(64);
-            block[0] = round;
-            tx.send(block).unwrap();
-            // Second refill dies mid-fill, block in hand.
-            let block = worker_arena.checkout_zeroed(64);
-            assert_eq!(block.len(), 64);
-            panic!("simulated session failure mid-refill");
-        });
-        let served = rx.recv().expect("first refill arrives");
-        assert_eq!(served[0], round);
-        arena.give_back(served);
-        assert_eq!(rx.recv(), None, "panic must close the stream");
-        assert!(producer.join().is_err());
-        // The arena survives the loss: the unwound block is simply gone,
-        // and fresh checkouts still work and are still zeroed.
-        let replacement = arena.checkout_zeroed(64);
-        assert!(replacement.iter().all(|&w| w == 0));
-        arena.give_back(replacement);
     }
 }
 
