@@ -19,7 +19,9 @@ use crate::shard::{Reply, Request, StateReply};
 /// prefetch blocks: it drains one while its shard refills the other, and
 /// each drained block rides back to the shard with the next refill
 /// request, so the hot path ([`PoolClient::try_next_u64`],
-/// [`PoolClient::fill_words`]) is a slice copy with no allocation.
+/// [`PoolClient::fill_words`]) is a slice copy with no allocation. A
+/// shard with nothing queued fills the client's next block ahead of
+/// demand and answers the next refill with it.
 pub struct PoolClient {
     id: u64,
     lanes: usize,
@@ -126,9 +128,10 @@ impl PoolClient {
     /// request/reply round-trip to the shard worker). Unlike
     /// [`PoolClient::checkpoint`], the returned state sits at the words
     /// the session *produced* — ahead of this client's consumption by up
-    /// to the in-flight prefetch — and, for providers with rich state
-    /// (expander walks, engines), carries the exact walk vertices and
-    /// feed cursors for an O(cursor) restore.
+    /// to three blocks: the rest of the front block, the block in flight,
+    /// and the spare the shard filled ahead — and, for providers with
+    /// rich state (expander walks, engines), carries the exact walk
+    /// vertices and feed cursors for an O(cursor) restore.
     pub fn session_checkpoint(&mut self) -> Result<StreamState, HprngError> {
         let (reply_tx, reply_rx) = bounded::<StateReply>(1);
         self.rails
@@ -213,7 +216,8 @@ impl PoolClient {
     }
 
     /// The next word of this client's stream. Allocation-free: served
-    /// from the front prefetch block, which the shard refills in place.
+    /// from the front prefetch block, which the shard refills in place
+    /// or trades for a block it filled ahead.
     pub fn try_next_u64(&mut self) -> Result<u64, HprngError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());

@@ -45,13 +45,15 @@ pub enum SessionKind {
         params: HybridParams,
     },
     /// Bring your own generator (the test suites use it to inject
-    /// panicking sessions). `lanes` is the advertised per-client
-    /// lane count; the factory receives the client's lane seed. The
-    /// sessions the factory builds must report the same
-    /// [`OnDemandRng::lanes`] — the shard rejects the attachment with
-    /// [`HprngError::InvalidParam`] otherwise, since the client's buffer
-    /// sizing and [`crate::PoolClient::lanes`] are derived from the
-    /// advertised count.
+    /// panicking sessions). Its sessions are called only when a refill
+    /// asks for their words: shards never fill a `Custom` session ahead
+    /// of demand, since it may count, time or fail its calls on purpose.
+    /// `lanes` is the advertised per-client lane count; the factory
+    /// receives the client's lane seed. The sessions the factory builds
+    /// must report the same [`OnDemandRng::lanes`] — the shard rejects
+    /// the attachment with [`HprngError::InvalidParam`] otherwise, since
+    /// the client's buffer sizing and [`crate::PoolClient::lanes`] are
+    /// derived from the advertised count.
     Custom {
         /// Advertised [`OnDemandRng::lanes`] of each client.
         lanes: usize,
@@ -143,9 +145,10 @@ impl PoolBuilder {
         self
     }
 
-    /// Words per prefetch buffer (each client keeps two in flight). The
-    /// shard rounds this up to a multiple of the session's lane count so
-    /// chunking never changes the stream.
+    /// Words per prefetch buffer (each client keeps two in flight, and
+    /// for the built-in session kinds the shard keeps a third, the spare
+    /// it fills ahead of demand). The shard rounds this up to a multiple
+    /// of the session's lane count so chunking never changes the stream.
     pub fn prefetch_words(mut self, words: usize) -> Self {
         self.prefetch_words = words;
         self

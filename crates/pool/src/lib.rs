@@ -23,7 +23,11 @@
 //! owns two prefetch blocks that travel to its shard with a refill
 //! request and come back refilled on its reply ring (the paper's
 //! double buffer, with no allocation once both exist), and a client
-//! whose shard falls behind blocks until its refill arrives. A request returns its lane's words,
+//! whose shard falls behind blocks until its refill arrives. Shards are
+//! work-conserving: while its request ring is empty, a shard fills each
+//! client's next block ahead of demand, so a refill is often answered at
+//! once; only the session kinds the pool builds itself are filled ahead,
+//! never a [`SessionKind::Custom`] one. A request returns its lane's words,
 //! fails over to a healthy shard ([`PoolBuilder::failover`]), or fails
 //! for good; it never serves another stream's words and never asks the
 //! caller to retry. A worker panic poisons only its own shard
@@ -44,11 +48,11 @@
 //!
 //! Request-path observability is built in: [`PoolBuilder::tracing`]
 //! turns on per-shard queue-depth/occupancy gauges, enqueue-wait /
-//! service / refill-copy latency histograms, per-shard word counters
-//! (under the canonical [`names`]) and 1-in-N sampled client and
-//! shard-worker spans on a shared epoch, all exported through
-//! [`Pool::registry`] / [`Pool::telemetry_snapshot`] to the telemetry
-//! crate's Prometheus and Chrome-trace exporters.
+//! service / refill-copy latency histograms, per-shard word and
+//! fill-ahead counters (under the canonical [`names`]) and 1-in-N
+//! sampled client and shard-worker spans on a shared epoch, all
+//! exported through [`Pool::registry`] / [`Pool::telemetry_snapshot`]
+//! to the telemetry crate's Prometheus and Chrome-trace exporters.
 //!
 //! ```
 //! use hprng_pool::Pool;

@@ -30,7 +30,7 @@ use hprng_transport::RingInstruments;
 pub mod names {
     /// Prefetch-block refills served, pool-wide (counter).
     pub const POOL_REFILLS: &str = "pool_refills_total";
-    /// Words produced into prefetch blocks, pool-wide (counter).
+    /// Words delivered in refill replies, pool-wide (counter).
     pub const POOL_WORDS: &str = "pool_words_total";
     /// Refills failed with a session error, pool-wide (counter).
     pub const POOL_ERRORS: &str = "pool_errors_total";
@@ -64,8 +64,9 @@ pub mod names {
         format!("pool_shard{shard}_enqueue_wait_ns")
     }
 
-    /// Time shard `shard`'s worker spent generating one refill from the
-    /// client's session (log2 histogram, nanoseconds).
+    /// Time shard `shard`'s worker spent serving one refill: generating
+    /// its block, or finishing and handing over the block it filled
+    /// ahead (log2 histogram, nanoseconds).
     pub fn shard_service_ns(shard: usize) -> String {
         format!("pool_shard{shard}_service_ns")
     }
@@ -86,10 +87,25 @@ pub mod names {
         format!("pool_shard{shard}_replays_total")
     }
 
-    /// Session-stream words shard `shard`'s worker produced into
-    /// prefetch blocks (counter).
+    /// Session-stream words shard `shard`'s worker delivered in refill
+    /// replies (counter). Words filled ahead count once their block is
+    /// delivered.
     pub fn shard_words(shard: usize) -> String {
         format!("pool_shard{shard}_words_total")
+    }
+
+    /// Words shard `shard`'s worker filled ahead of demand, in idle time,
+    /// into its clients' spare blocks (counter). Those a detach,
+    /// migration or shutdown drops before delivery are the waste of
+    /// filling ahead.
+    pub fn shard_ahead_words(shard: usize) -> String {
+        format!("pool_shard{shard}_ahead_words_total")
+    }
+
+    /// Refills shard `shard`'s worker answered with a spare block it had
+    /// filled ahead, wholly or in part (counter).
+    pub fn shard_spare_refills(shard: usize) -> String {
+        format!("pool_shard{shard}_spare_refills_total")
     }
 }
 
@@ -124,6 +140,8 @@ pub(crate) struct ShardObs {
     pub service_ns: HistogramHandle,
     pub refill_copy_ns: HistogramHandle,
     pub words: Counter,
+    pub ahead_words: Counter,
+    pub spare_refills: Counter,
 }
 
 impl ShardObs {
@@ -137,6 +155,8 @@ impl ShardObs {
             service_ns: registry.histogram(&names::shard_service_ns(shard)),
             refill_copy_ns: registry.histogram(&names::shard_refill_copy_ns(shard)),
             words: registry.counter(&names::shard_words(shard)),
+            ahead_words: registry.counter(&names::shard_ahead_words(shard)),
+            spare_refills: registry.counter(&names::shard_spare_refills(shard)),
         }
     }
 

@@ -124,10 +124,11 @@ impl PoolShared {
                 enqueued_ns: obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
             };
             if tx.send(refill).is_err() {
-                // Half-admitted: the shard accepted the attach but died
-                // before the prefetch was primed. Free the orphan session
-                // best-effort.
-                let _ = tx.send(Request::Detach { client: id });
+                // Half-admitted: the shard accepted the attach but its
+                // worker died before the prefetch was primed. A send
+                // fails only once the worker's receiver is gone, so no
+                // `Detach` could reach it: the orphan session died with
+                // the worker.
                 return Err(self.disconnected(shard));
             }
         }
@@ -577,7 +578,8 @@ pub struct PoolStats {
     pub clients: usize,
     /// Prefetch-block refills served.
     pub refills: u64,
-    /// Words produced into prefetch blocks.
+    /// Words delivered in refill replies. A shard may fill a client's
+    /// next block ahead of demand; its words count once it is delivered.
     pub words: u64,
     /// Refills that failed with a session error.
     pub errors: u64,

@@ -1,6 +1,7 @@
 //! The pool's steady state allocates nothing: once a client's two
-//! prefetch blocks exist, each refill overwrites the drained block the
-//! client sends with its request, and serving a word is a slice copy.
+//! prefetch blocks and its shard-side spare exist, each refill overwrites
+//! the drained block the client sends with its request or swaps it for
+//! the spare, and serving a word is a slice copy.
 //!
 //! One test in its own binary, because the counting global allocator
 //! below sees every thread of the process, the shard workers included.
@@ -8,10 +9,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hprng_baselines::SplitMix64;
 use hprng_core::ScalarRng;
-use hprng_pool::{Pool, SessionKind};
+use hprng_pool::{names, Pool, SessionKind};
 
 /// Allocations and reallocations made through [`Counting`].
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -61,7 +63,8 @@ fn steady_state_serving_allocates_nothing() {
             .unwrap();
         let mut client = pool.try_client().unwrap();
         let mut out = vec![0u64; BLOCK];
-        // Warm-up: the two priming refills allocate the client's blocks.
+        // Warm-up: the two priming refills allocate the client's blocks,
+        // and the first drained block reserves the walk shard's spare.
         for _ in 0..4 {
             client.fill_words(&mut out).unwrap();
         }
@@ -77,4 +80,57 @@ fn steady_state_serving_allocates_nothing() {
         drop(client);
         pool.shutdown();
     }
+
+    // A client that pauses between blocks: its shard, idle meanwhile,
+    // fills the client's next block ahead and answers the next refill
+    // with it, swapping in the drained block as the next spare. Tracing
+    // counts both; sampling every `u64::MAX`-th refill records no span,
+    // and the counter handles are taken before the window, so reading
+    // them allocates nothing either.
+    let pool = Pool::builder(42)
+        .shards(1)
+        .prefetch_words(BLOCK)
+        .tracing(u64::MAX)
+        .build()
+        .unwrap();
+    let registry = pool.registry().expect("tracing is on");
+    let ahead_words = registry.counter(&names::shard_ahead_words(0));
+    let spare_refills = registry.counter(&names::shard_spare_refills(0));
+    let mut client = pool.try_client().unwrap();
+    let mut out = vec![0u64; BLOCK];
+    // From the second request on, each request sends a drained block
+    // back; the first one reserves the spare. Each pause then lasts
+    // until the shard has filled the whole spare ahead, one block more
+    // per request.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut filled = 0;
+    let mut pause = || {
+        filled += BLOCK as u64;
+        while ahead_words.get() < filled && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // Warm-up: the priming refills allocate two blocks, and the first
+    // drained block reserves the spare.
+    client.fill_words(&mut out).unwrap();
+    for _ in 0..3 {
+        client.fill_words(&mut out).unwrap();
+        pause();
+    }
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..16 {
+        client.fill_words(&mut out).unwrap();
+        pause();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(allocations, 0, "pausing: 16 blocks served with allocations");
+    assert!(
+        Instant::now() < deadline,
+        "pausing: the shard stopped filling ahead"
+    );
+    // Every refill after the first drained one found a full spare: two in
+    // the warm-up, sixteen in the window.
+    assert_eq!(spare_refills.get(), 18);
+    drop(client);
+    pool.shutdown();
 }

@@ -2,7 +2,9 @@
 //! run must export a Chrome trace holding both client request spans and
 //! shard worker spans on one shared epoch, and a Prometheus snapshot
 //! covering queue depth, the three phase histograms, and the word
-//! counter per shard.
+//! counters per shard.
+
+use std::time::{Duration, Instant};
 
 use hprng_pool::{names, Pool};
 use hprng_telemetry::{chrome_trace, prometheus, Stage};
@@ -136,4 +138,49 @@ fn untraced_pools_expose_no_registry_but_still_export_stats() {
             .unwrap()
             > 0.0
     );
+}
+
+#[test]
+fn an_idle_shard_fills_one_spare_per_client_and_counts_it() {
+    const BLOCK: usize = 64;
+    let pool = Pool::builder(11)
+        .shards(1)
+        .prefetch_words(BLOCK)
+        .tracing(64)
+        .build()
+        .unwrap();
+    let registry = pool.registry().expect("tracing was enabled");
+    let counter = |name: String| registry.snapshot().counter(&name);
+    let mut client = pool.try_client().unwrap();
+    let mut block = [0u64; BLOCK];
+    // The second request sends the first drained block back, which
+    // reserves the client's spare on the shard.
+    client.fill_words(&mut block).unwrap();
+    client.fill_words(&mut block).unwrap();
+
+    // The client pauses; its shard, idle, fills the spare and then sleeps.
+    let until = Instant::now() + Duration::from_secs(10);
+    while counter(names::shard_ahead_words(0)) < BLOCK as f64 {
+        assert!(Instant::now() < until, "the idle shard never filled ahead");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(counter(names::shard_ahead_words(0)), BLOCK as f64);
+    assert_eq!(counter(names::shard_spare_refills(0)), 0.0);
+    let delivered = counter(names::shard_words(0));
+
+    // The next refill is answered with the spare; the one after it
+    // delivers it.
+    client.fill_words(&mut block).unwrap();
+    client.fill_words(&mut block).unwrap();
+    assert!(counter(names::shard_spare_refills(0)) >= 1.0);
+    // Words filled ahead count as delivered only once they are.
+    assert!(counter(names::shard_words(0)) >= delivered + BLOCK as f64);
+
+    let text = prometheus::exposition(&pool.telemetry_snapshot());
+    let exp = prometheus::parse_exposition(&text).expect("exposition parses");
+    for name in [names::shard_ahead_words(0), names::shard_spare_refills(0)] {
+        let metric = prometheus::metric_name(&name);
+        assert!(exp.value(&metric).unwrap() > 0.0, "{metric} not exported");
+    }
 }

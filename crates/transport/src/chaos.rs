@@ -35,7 +35,9 @@ pub enum FaultPoint {
     /// taken. Stalling here models a slow producer-side hand-off.
     RingSend,
     /// Entry of [`crate::RingReceiver::recv`], before the ring lock is
-    /// taken. Stalling here models a slow consumer.
+    /// taken, and [`crate::RingReceiver::try_recv`] once it has dequeued
+    /// a block (never on an empty poll). Stalling here models a slow
+    /// consumer.
     RingRecv,
     /// A pool shard worker about to serve one `Refill` request.
     /// [`FaultAction::Panic`] kills the worker mid-serve (the poisoning
@@ -76,6 +78,11 @@ pub trait FaultHook: Send + Sync {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static HOOK: Mutex<Option<Arc<dyn FaultHook>>> = Mutex::new(None);
+
+/// The hook registry is process-global; the crate's tests that install
+/// a hook serialize on this lock.
+#[cfg(test)]
+pub(crate) static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Uninstalls the hook when dropped, so a panicking test cannot leak its
 /// faults into the next schedule.
@@ -131,9 +138,6 @@ pub fn act(point: FaultPoint) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    /// The registry is process-global; these tests serialize on it.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     const STALL: FaultAction = FaultAction::Stall(Duration::from_nanos(1));
 

@@ -12,7 +12,9 @@
 //! * [`ring`] — [`BlockRing`]: a bounded blocking MPSC ring generalizing
 //!   the paper's two-slot PCIe double buffer.
 //!   Backpressure by blocking [`RingSender::send`] and
-//!   [`RingReceiver::recv`], clean shutdown on drop from either side,
+//!   [`RingReceiver::recv`] (plus a non-blocking
+//!   [`RingReceiver::try_recv`] for a consumer with other work to do),
+//!   clean shutdown on drop from either side,
 //!   optional transport-level queue-depth instrumentation
 //!   ([`RingInstruments`]).
 //! * [`shutdown`] — the shutdown-flag-before-close protocol:

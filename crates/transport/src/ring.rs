@@ -11,6 +11,10 @@
 //! * **backpressure**: [`RingSender::send`] blocks while every slot is
 //!   occupied, so producers can run at most `capacity` blocks ahead
 //!   (bounded memory, just like the real double buffer).
+//!   [`RingReceiver::recv`] blocks while the ring is empty;
+//!   [`RingReceiver::try_recv`] returns at once, for a consumer that has
+//!   other work to do while nothing is queued (a pool shard filling its
+//!   clients' next blocks ahead of demand).
 //! * **clean shutdown**: dropping either half wakes the other. A producer
 //!   whose consumer went away gets its value back as [`SendError`]; a
 //!   consumer whose producers all exited (including by panic, which
@@ -200,9 +204,31 @@ impl<T> RingReceiver<T> {
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        self.take(&mut inner)
+    }
+
+    /// Takes the oldest block if one is queued right now, without
+    /// blocking. `None` means the ring is empty at this instant; a
+    /// [`RingReceiver::recv`] then waits for the next block or reports
+    /// the end of the stream.
+    ///
+    /// The chaos hook fires only when a block is dequeued, after the
+    /// ring lock is released: a consumer that polls an idle ring between
+    /// other work counts one `FaultPoint::RingRecv` occurrence per block
+    /// received, as a consumer that only blocks in `recv` does.
+    pub fn try_recv(&self) -> Option<T> {
+        let value = self.take(&mut lock(&self.ring));
+        #[cfg(feature = "chaos")]
+        if value.is_some() {
+            crate::chaos::act(crate::chaos::FaultPoint::RingRecv);
+        }
+        value
+    }
+
+    fn take(&self, inner: &mut Inner<T>) -> Option<T> {
         let value = inner.slots.pop_front();
         if value.is_some() {
-            self.ring.record_depth(&inner);
+            self.ring.record_depth(inner);
             self.ring.not_full.notify_one();
         }
         value
@@ -396,6 +422,86 @@ mod tests {
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(depth.get(), 1.0);
         assert_eq!(occupancy.get(), 0.25);
+    }
+
+    #[test]
+    fn try_recv_returns_none_at_once_on_an_empty_ring() {
+        let (tx, rx) = bounded::<u64>(2);
+        assert_eq!(rx.try_recv(), None); // a live producer: still no wait
+        tx.send(5).unwrap();
+        assert_eq!(rx.try_recv(), Some(5));
+        assert_eq!(rx.try_recv(), None);
+        drop(tx);
+        assert_eq!(rx.try_recv(), None); // ended: no wait either
+        assert_eq!(rx.recv(), None);
+    }
+
+    #[test]
+    fn try_recv_keeps_order_mixed_with_recv() {
+        let (tx, rx) = bounded::<u64>(8);
+        for i in 0..6u64 {
+            tx.send(i).unwrap();
+        }
+        assert_eq!(rx.try_recv(), Some(0));
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.recv(), Some(4));
+        tx.send(6).unwrap();
+        assert_eq!(rx.try_recv(), Some(5));
+        assert_eq!(rx.recv(), Some(6));
+        assert_eq!(rx.try_recv(), None);
+        assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn try_recv_frees_a_slot_for_a_blocked_producer() {
+        let (tx, rx) = bounded::<u64>(1);
+        tx.send(1).unwrap();
+        let producer = thread::spawn(move || tx.send(2)); // blocked: full
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(producer.join().unwrap(), Ok(()));
+        assert_eq!(rx.try_recv(), Some(2));
+    }
+
+    /// An idle poll is not a receive: the `RingRecv` hook fires once per
+    /// dequeued block, whichever call dequeues it.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn an_empty_poll_fires_no_ring_recv_hook() {
+        use crate::chaos::{self, FaultAction, FaultHook, FaultPoint};
+        use std::sync::PoisonError;
+
+        /// Counts `RingRecv` firings on one thread, so rings that other
+        /// tests drive concurrently do not reach the count.
+        struct CountRecvs(thread::ThreadId, AtomicUsize);
+        impl FaultHook for CountRecvs {
+            fn decide(&self, point: FaultPoint) -> FaultAction {
+                if point == FaultPoint::RingRecv && thread::current().id() == self.0 {
+                    self.1.fetch_add(1, Ordering::SeqCst);
+                }
+                FaultAction::Proceed
+            }
+        }
+
+        let _serial = chaos::SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let hook = Arc::new(CountRecvs(thread::current().id(), AtomicUsize::new(0)));
+        let _installed = chaos::install(Arc::clone(&hook) as Arc<dyn FaultHook>);
+        let fired = || hook.1.load(Ordering::SeqCst);
+        let (tx, rx) = bounded::<u64>(4);
+        for _ in 0..3 {
+            assert_eq!(rx.try_recv(), None);
+        }
+        assert_eq!(fired(), 0, "an empty poll fired the hook");
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(fired(), 1);
+        assert_eq!(rx.recv(), Some(2));
+        assert_eq!(fired(), 2);
+        assert_eq!(rx.try_recv(), None);
+        assert_eq!(fired(), 2);
     }
 
     #[test]
