@@ -382,19 +382,33 @@ pub fn pool_gate(doc: &json::Value) -> Result<String, String> {
     }
 }
 
+/// The `q`-quantile of `values`, interpolated between the two nearest
+/// ranks.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+}
+
 /// Measures the cost of pool request-path tracing: the same single-shard
 /// workload (one client pulling `words` words in 4096-word requests) with
 /// tracing off versus tracing on at 1-in-`sample_every` sampling.
 ///
-/// The returned object carries both throughputs, the overhead fraction
-/// `(off - on) / off` clamped at zero, and a `passed` flag against the
-/// 5% budget the observability acceptance criteria set. Both sides are
-/// best-of-3 after a warm-up run, so scheduler noise has to strike three
-/// times in a row to fake a regression.
+/// After a warm-up run, the runs come in pairs of one untraced and one
+/// traced run, and the side that runs first alternates from pair to
+/// pair, so a host whose speed drifts during the measurement moves both
+/// sides alike. The gated overhead is the median of the per-pair
+/// overheads `1 - on/off`, clamped at zero, against the 5% budget the
+/// observability acceptance criteria set. The returned object carries
+/// both sides' median throughputs, the gated overhead with the quartiles
+/// of the per-pair overheads, and a `passed` flag.
 pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> json::Value {
     use hprng_pool::Pool;
 
     const REQUEST: usize = 4096;
+    const PAIRS: usize = 10;
     const MAX_OVERHEAD: f64 = 0.05;
     let words = words.max(1 << 20);
     let sample_every = sample_every.max(1);
@@ -422,17 +436,38 @@ pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> json::Value
 
     // Warm up the allocator and thread spawn paths before timing.
     let _ = run(None);
-    let best = |tracing: Option<u64>| (0..3).map(|_| run(tracing)).fold(0.0f64, f64::max);
-    let off = best(None);
-    let on = best(Some(sample_every));
-    let overhead = ((off - on) / off.max(1e-12)).max(0.0);
+    let (mut off, mut on) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            off.push(run(None));
+            on.push(run(Some(sample_every)));
+        } else {
+            on.push(run(Some(sample_every)));
+            off.push(run(None));
+        }
+    }
+    let overheads: Vec<f64> = off
+        .iter()
+        .zip(&on)
+        .map(|(off, on)| 1.0 - on / off.max(1e-12))
+        .collect();
+    let overhead = quantile(&overheads, 0.5).max(0.0);
 
     let mut obj = json::Value::object();
     obj.set("words", json::Value::Number(words as f64));
     obj.set("sample_every", json::Value::Number(sample_every as f64));
-    obj.set("off_words_per_s", json::Value::Number(off));
-    obj.set("on_words_per_s", json::Value::Number(on));
+    obj.set("pairs", json::Value::Number(PAIRS as f64));
+    obj.set("off_words_per_s", json::Value::Number(quantile(&off, 0.5)));
+    obj.set("on_words_per_s", json::Value::Number(quantile(&on, 0.5)));
     obj.set("overhead_fraction", json::Value::Number(overhead));
+    obj.set(
+        "overhead_q1",
+        json::Value::Number(quantile(&overheads, 0.25)),
+    );
+    obj.set(
+        "overhead_q3",
+        json::Value::Number(quantile(&overheads, 0.75)),
+    );
     obj.set("max_overhead", json::Value::Number(MAX_OVERHEAD));
     obj.set("passed", json::Value::Bool(overhead <= MAX_OVERHEAD));
     obj
@@ -963,12 +998,27 @@ mod tests {
         for key in ["off_words_per_s", "on_words_per_s"] {
             assert!(doc.get(key).and_then(|v| v.as_f64()).unwrap() > 0.0);
         }
-        let overhead = doc
-            .get("overhead_fraction")
-            .and_then(|v| v.as_f64())
-            .unwrap();
+        let num = |key: &str| doc.get(key).and_then(|v| v.as_f64()).unwrap();
+        let overhead = num("overhead_fraction");
         assert!((0.0..=1.0).contains(&overhead), "overhead {overhead}");
+        assert_eq!(num("pairs"), 10.0);
+        let (q1, q3) = (num("overhead_q1"), num("overhead_q3"));
+        // The median lies between the quartiles.
+        assert!(
+            q1 <= q3 && overhead <= q3.max(0.0),
+            "{q1}..{q3}, {overhead}"
+        );
         assert!(matches!(doc.get("passed"), Some(json::Value::Bool(_))));
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let values = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(&values, 0.0), 1.0);
+        assert_eq!(quantile(&values, 0.5), 2.5);
+        assert_eq!(quantile(&values, 0.25), 1.75);
+        assert_eq!(quantile(&values, 1.0), 4.0);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
     }
 
     #[test]

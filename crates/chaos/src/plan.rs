@@ -241,8 +241,7 @@ impl PlanHook {
     }
 
     /// Disarms a still-pending claim panic — for when the probe armed
-    /// it but admission never reached the claimed-id lock (every shard
-    /// already dead, so the pool refuses before claiming).
+    /// it but admission never reached the claimed-id lock.
     pub fn disarm_claim_panic(&self) {
         self.claim_armed.store(false, Ordering::SeqCst);
     }

@@ -147,17 +147,18 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
     let hook = Arc::new(PlanHook::new(plan));
     let guard = chaos::install(Arc::clone(&hook) as Arc<dyn chaos::FaultHook>);
 
-    // Admission. A scheduled worker panic may already have landed, in
-    // which case a poisoned-shard refusal is legitimate — but only when
-    // failover had nowhere left to route (a multi-shard failover pool
-    // must always find a healthy shard).
-    let admission_may_refuse =
+    // Whether `e` is a fault the plan scheduled that may end a client: a
+    // scheduled worker panic may already have landed, in which case a
+    // poisoned-shard error is legitimate — but only when failover had
+    // nowhere left to route (a multi-shard failover pool must always
+    // find a healthy shard).
+    let plan_may_end =
         |e: &HprngError| error_is_scheduled(&plan, e) && !(plan.failover && plan.shards >= 2);
     let mut lanes: Vec<Lane> = Vec::with_capacity(plan.clients);
     for id in 0..plan.clients as u64 {
         let (client, error) = match pool.try_client_with_id(id) {
             Ok(client) => (Some(client), None),
-            Err(e) if admission_may_refuse(&e) => (None, Some(e)),
+            Err(e) if plan_may_end(&e) => (None, Some(e)),
             Err(e) => return fail(format!("admission of client {id} failed: {e}")),
         };
         lanes.push(Lane {
@@ -250,17 +251,16 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
     // Checkpoint corruption probe: flip one byte of a serialized
     // checkpoint and push it back through parse + resume. Every stage
     // may refuse; none may panic; and if the state survives intact, the
-    // resumed stream must continue on golden.
+    // resumed stream must continue on golden. The probe's client shares
+    // the lane of a client that is still alive, which must then go on
+    // serving its own stream.
     if plan.corrupt_checkpoint {
         if let Some(lane) = lanes
-            .iter()
+            .iter_mut()
             .find(|l| l.client.is_some() && l.error.is_none())
         {
-            let state = lane
-                .client
-                .as_ref()
-                .expect("lane has a client")
-                .checkpoint();
+            let client = lane.client.as_mut().expect("lane has a client");
+            let state = client.checkpoint();
             let mut bytes = state.to_json().into_bytes();
             let at = (SplitMix64::new(seed ^ 0xC0_44_0F_7E_D0_57_A7_E5).next() % bytes.len() as u64)
                 as usize;
@@ -271,6 +271,23 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
             {
                 return fail(reason);
             }
+            let start = lane.collected.len();
+            match client.try_next_batch(32) {
+                Ok(words) if words == golden[lane.id as usize][start..start + 32] => {}
+                Ok(_) => {
+                    return fail(format!(
+                        "client {}: diverged from golden after the corruption probe",
+                        lane.id
+                    ))
+                }
+                Err(e) if plan_may_end(&e) => {}
+                Err(e) => {
+                    return fail(format!(
+                        "client {}: failed after the corruption probe: {e}",
+                        lane.id
+                    ))
+                }
+            }
         }
     }
 
@@ -279,17 +296,10 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
     if plan.claim_panic {
         let probe_id = plan.clients as u64 + 7;
         hook.arm_claim_panic();
-        let fired = match catch_unwind(AssertUnwindSafe(|| pool.try_client_with_id(probe_id))) {
-            Err(_) => true,
-            // When every shard is already dead (the scheduled worker
-            // panic with nowhere to fail over to), admission refuses
-            // before it ever reaches the claimed-id lock — the armed
-            // fault is legitimately never consumed. Disarm and skip
-            // the recovery check; the teardown invariants still run.
-            Ok(Err(e)) if error_is_scheduled(&plan, &e) && hook.claim_panic_armed() => {
-                hook.disarm_claim_panic();
-                false
-            }
+        // Admission claims the id before it routes, so the armed panic
+        // fires even when every shard is dead.
+        match catch_unwind(AssertUnwindSafe(|| pool.try_client_with_id(probe_id))) {
+            Err(_) => {}
             Ok(Ok(_)) => {
                 hook.disarm_claim_panic();
                 return fail("armed claim panic did not fire during admission".to_string());
@@ -300,23 +310,21 @@ pub fn run_schedule(seed: u64) -> Result<(), String> {
                     "armed claim panic did not fire; admission refused with: {e}"
                 ));
             }
-        };
-        if fired {
-            match catch_unwind(AssertUnwindSafe(|| pool.try_client_with_id(probe_id))) {
-                Err(payload) => {
-                    return fail(format!(
-                        "admission panicked after claimed-id lock poison: {}",
-                        panic_message(payload)
-                    ));
-                }
-                Ok(Ok(client)) => drop(client),
-                // A refusal (the probe lane's shard may genuinely be
-                // dead) is fine — the lock recovered, which is what the
-                // probe tests.
-                Ok(Err(e)) if error_is_scheduled(&plan, &e) => {}
-                Ok(Err(e)) => {
-                    return fail(format!("post-poison admission refused unexpectedly: {e}"));
-                }
+        }
+        match catch_unwind(AssertUnwindSafe(|| pool.try_client_with_id(probe_id))) {
+            Err(payload) => {
+                return fail(format!(
+                    "admission panicked after claimed-id lock poison: {}",
+                    panic_message(payload)
+                ));
+            }
+            Ok(Ok(client)) => drop(client),
+            // A refusal (the probe lane's shard may genuinely be
+            // dead) is fine — the lock recovered, which is what the
+            // probe tests.
+            Ok(Err(e)) if error_is_scheduled(&plan, &e) => {}
+            Ok(Err(e)) => {
+                return fail(format!("post-poison admission refused unexpectedly: {e}"));
             }
         }
     }

@@ -45,11 +45,9 @@ pub struct PoolClient {
     requests: u64,
     tap: Option<Box<dyn WordTap>>,
     /// The pool-wide serving fabric: shard senders and metrics for
-    /// reattachment, the shutdown flag, plus the claimed-id registry
-    /// released on drop.
+    /// reattachment, the failover setting, the shutdown flag, plus the
+    /// claimed-id registry released on drop.
     shared: Arc<PoolShared>,
-    /// Automatic reattach-on-poison, from [`crate::PoolBuilder::failover`].
-    failover_enabled: bool,
     /// Words to skip from the first front block installed after a resume:
     /// the `session_words % lanes` remainder the shard cannot
     /// fast-forward, because it only replays whole lane-width rounds.
@@ -63,7 +61,6 @@ impl PoolClient {
         lane_seed: u64,
         rails: Rails,
         shared: Arc<PoolShared>,
-        failover_enabled: bool,
     ) -> Self {
         Self {
             id,
@@ -77,16 +74,15 @@ impl PoolClient {
             requests: 0,
             tap: None,
             shared,
-            failover_enabled,
             resume_skip: 0,
         }
     }
 
-    /// Primes a freshly admitted client onto a checkpointed state: the
-    /// served counter resumes where the checkpoint left off, and the
-    /// first installed block skips the sub-round remainder the shard
-    /// could not fast-forward.
-    pub(crate) fn prime_from_state(&mut self, state: &StreamState) {
+    /// Sets the client onto a state its new session was resumed from, at
+    /// admission and on reattach: the served counter resumes where the
+    /// state left off, and the first installed block skips the sub-round
+    /// remainder the shard could not fast-forward.
+    pub(crate) fn resume(&mut self, state: &StreamState) {
         self.served = state.session_words;
         self.resume_skip = (state.session_words % self.lanes as u64) as usize;
     }
@@ -137,7 +133,7 @@ impl PoolClient {
         self.rails
             .tx
             .send(Request::Checkpoint {
-                client: self.id,
+                key: self.rails.key,
                 reply: reply_tx,
             })
             .map_err(|_| self.shared.disconnected(self.rails.shard))?;
@@ -167,52 +163,48 @@ impl PoolClient {
         if target == self.rails.shard {
             return Ok(());
         }
-        let state = self.checkpoint();
-        let old = self.reattach(target, &state)?;
+        let old = self.reattach(target, 1)?;
         // Graceful: free the old session. The old worker may still be
         // filling owed refills; their reply sends fail (the old reply
         // receiver is gone) and the worker drops those blocks.
-        let _ = old.tx.send(Request::Detach { client: self.id });
+        let _ = old.tx.send(Request::Detach { key: old.key });
         self.shared.migrations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Attaches a resumed session on shard `target` and swaps this
-    /// client's serving rails over to it, returning the old rails. On
-    /// error the client is untouched and keeps serving from its current
-    /// shard.
-    fn reattach(&mut self, target: usize, state: &StreamState) -> Result<Rails, HprngError> {
-        let rails = self.shared.attach(self.id, target, Some(state))?;
+    /// Checkpoints the stream from the acked counters, attaches a resumed
+    /// session on the first of the `tries` shards of the ring from
+    /// `first` that takes it, and swaps this client's serving rails over
+    /// to it, returning the old rails. On error the client is untouched
+    /// and keeps serving from its current shard.
+    fn reattach(&mut self, first: usize, tries: usize) -> Result<Rails, HprngError> {
+        let state = self.checkpoint();
+        let rails = self
+            .shared
+            .attach(self.id, self.lane_seed, first, tries, Some(&state))?;
         // Point of no return: drop the front (the resumed session
-        // regenerates its words; the target primed two fresh blocks) and
-        // swap the rails.
+        // regenerates its words; the new shard primed two fresh blocks)
+        // and swap the rails.
         self.front = Vec::new();
         self.pos = 0;
-        self.resume_skip = (state.session_words % self.lanes as u64) as usize;
+        self.resume(&state);
         Ok(std::mem::replace(&mut self.rails, rails))
     }
 
     /// The automatic failover path: on a poisoned-shard disconnect,
-    /// checkpoint from the acked counters and reattach to the next
-    /// healthy shard. Returns `true` when the stream was re-established
-    /// (the caller retries its receive on the new shard).
+    /// reattach on the ring from the next shard. Returns `true` when the
+    /// stream was re-established (the caller retries its receive on the
+    /// new shard).
     fn try_failover(&mut self) -> bool {
-        if !self.failover_enabled || self.shared.shutdown.is_requested() {
+        if !self.shared.failover || self.shared.shutdown.is_requested() {
             return false;
         }
-        let state = self.checkpoint();
         let shards = self.shared.txs.len();
-        for offset in 1..=shards {
-            let target = (self.rails.shard + offset) % shards;
-            if self.shared.metrics[target].poisoned.is_poisoned() {
-                continue;
-            }
-            if self.reattach(target, &state).is_ok() {
-                self.shared.failovers.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
+        if self.reattach(self.rails.shard + 1, shards).is_err() {
+            return false;
         }
-        false
+        self.shared.failovers.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// The next word of this client's stream. Allocation-free: served
@@ -321,8 +313,8 @@ impl PoolClient {
         loop {
             // Send the drained front back with a refill request: the shard
             // overwrites it and returns it on the reply ring. The initial
-            // placeholder (capacity 0: the two priming refills are already
-            // in flight) is not a block and requests nothing. On a
+            // placeholder (capacity 0: the attach primed two blocks) is not
+            // a block and requests nothing. On a
             // failover retry the front is already that placeholder, so
             // nothing is requested twice.
             let block = std::mem::take(&mut self.front);
@@ -335,7 +327,7 @@ impl PoolClient {
                 // failover is enabled — reattachment re-primes the
                 // prefetch, so the refill is never missed.
                 let _ = self.rails.tx.send(Request::Refill {
-                    client: self.id,
+                    key: self.rails.key,
                     block,
                     enqueued_ns: self.rails.obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
                 });
@@ -444,7 +436,9 @@ impl Drop for PoolClient {
         // Best-effort: free the shard-side session. A dead shard returns
         // an error we ignore; a full queue drains because the worker
         // always makes progress.
-        let _ = self.rails.tx.send(Request::Detach { client: self.id });
+        let _ = self.rails.tx.send(Request::Detach {
+            key: self.rails.key,
+        });
         // Release the id claim so churned clients do not leak lane
         // indices out of the auto-assignment space forever.
         self.shared.release(self.id);

@@ -17,10 +17,13 @@ use crate::config::{PoolBuilder, SessionKind};
 use crate::obs::{names, PoolObs, ShardObs};
 use crate::shard::{self, Reply, Request, ShardMetrics};
 
-/// One client's serving rails on one shard: the shard's request sender,
-/// the client's own reply receiver, and the shard's instruments.
+/// One client's serving rails on one shard: its session key there, the
+/// shard's request sender, the client's own reply receiver, and the
+/// shard's instruments.
 pub(crate) struct Rails {
     pub(crate) shard: usize,
+    /// The attachment's session key on `shard`.
+    pub(crate) key: u64,
     pub(crate) tx: RingSender<Request>,
     pub(crate) rx: RingReceiver<Reply>,
     pub(crate) obs: Option<Arc<ShardObs>>,
@@ -42,6 +45,12 @@ pub(crate) struct PoolShared {
     /// live), and a client's `Drop` releases its claim — so churned ids
     /// return to the auto-assignment space instead of leaking forever.
     claimed: Mutex<HashMap<u64, usize>>,
+    /// The next attachment's session key: every attach gets a fresh one,
+    /// so sessions never collide, whatever lane ids clients share.
+    next_key: AtomicU64,
+    /// Routing around poisoned shards at admission and automatic
+    /// reattach-on-poison, from [`PoolBuilder::failover`].
+    pub(crate) failover: bool,
     /// Clients that reattached to a healthy shard after a poison.
     pub(crate) failovers: AtomicU64,
     /// Clients moved between live shards by rebalance / migrate_to.
@@ -97,42 +106,61 @@ impl PoolShared {
             .len()
     }
 
-    /// Attaches client `id` on `shard`, resumed onto `resume` when given,
-    /// and primes its double buffer: two refills in flight, so the shard
-    /// fills one block while the client drains the other. Both carry an
-    /// empty block, which the worker allocates once; from then on the
-    /// client sends each drained block back with its next refill.
+    /// Attaches lane `id` (lane seed `seed`), resumed onto `resume` when
+    /// given, on the first of the `tries` shards of the ring that starts
+    /// at shard `first` that takes it. A shard flagged poisoned is
+    /// skipped, and so is one whose ring reports
+    /// [`HprngError::ShardPoisoned`] on the send (it died after the
+    /// check); any other error returns at once.
+    ///
+    /// Admission is the one `Attach` message: the shard answers it with
+    /// the client's two primed blocks, so the shard fills one while the
+    /// client drains the other, and from then on the client sends each
+    /// drained block back with its next refill.
     pub(crate) fn attach(
         &self,
         id: u64,
-        shard: usize,
+        seed: u64,
+        first: usize,
+        tries: usize,
         resume: Option<&StreamState>,
     ) -> Result<Rails, HprngError> {
-        let tx = self.txs[shard].clone();
-        let obs = self.obs.as_ref().map(|o| Arc::clone(&o.shards[shard]));
-        let (reply_tx, rx) = bounded::<Reply>(2);
-        tx.send(Request::Attach {
-            client: id,
-            reply: reply_tx,
-            resume: resume.map(|state| Box::new(state.clone())),
-        })
-        .map_err(|_| self.disconnected(shard))?;
-        for _ in 0..2 {
-            let refill = Request::Refill {
+        let shards = self.txs.len();
+        let mut last = HprngError::ShardPoisoned {
+            shard: first % shards,
+        };
+        for shard in (first..first + tries).map(|s| s % shards) {
+            if self.metrics[shard].poisoned.is_poisoned() {
+                last = HprngError::ShardPoisoned { shard };
+                continue;
+            }
+            let key = self.next_key.fetch_add(1, Ordering::Relaxed);
+            let tx = self.txs[shard].clone();
+            let obs = self.obs.as_ref().map(|o| Arc::clone(&o.shards[shard]));
+            let (reply, rx) = bounded::<Reply>(2);
+            let attach = Request::Attach {
+                key,
                 client: id,
-                block: Vec::new(),
+                seed,
+                reply,
+                resume: resume.map(|state| Box::new(state.clone())),
                 enqueued_ns: obs.as_ref().map_or(f64::NAN, |o| o.now_ns()),
             };
-            if tx.send(refill).is_err() {
-                // Half-admitted: the shard accepted the attach but its
-                // worker died before the prefetch was primed. A send
-                // fails only once the worker's receiver is gone, so no
-                // `Detach` could reach it: the orphan session died with
-                // the worker.
-                return Err(self.disconnected(shard));
+            if tx.send(attach).is_ok() {
+                return Ok(Rails {
+                    shard,
+                    key,
+                    tx,
+                    rx,
+                    obs,
+                });
+            }
+            match self.disconnected(shard) {
+                e @ HprngError::ShardPoisoned { .. } => last = e,
+                e => return Err(e),
             }
         }
-        Ok(Rails { shard, tx, rx, obs })
+        Err(last)
     }
 
     /// What a disconnected ring to `shard` means: an orderly
@@ -143,18 +171,6 @@ impl PoolShared {
             Disconnect::Shutdown => HprngError::PoolShutdown,
             Disconnect::Poisoned => HprngError::ShardPoisoned { shard },
         }
-    }
-
-    /// The first healthy shard at or after `id`'s home shard (wrapping);
-    /// the home shard itself when every shard is poisoned (the attach
-    /// will then fail with the honest [`HprngError::ShardPoisoned`]).
-    fn healthy_shard_for(&self, id: u64) -> usize {
-        let shards = self.txs.len();
-        let home = (id % shards as u64) as usize;
-        (0..shards)
-            .map(|offset| (home + offset) % shards)
-            .find(|&s| !self.metrics[s].poisoned.is_poisoned())
-            .unwrap_or(home)
     }
 }
 
@@ -196,7 +212,6 @@ pub struct Pool {
     seed: u64,
     kind: SessionKind,
     prefetch_words: usize,
-    failover: bool,
 }
 
 impl Pool {
@@ -223,15 +238,12 @@ impl Pool {
             };
             let shard_metrics = Arc::new(ShardMetrics::default());
             let kind = builder.kind.clone();
-            let seed = builder.seed;
             let prefetch = builder.prefetch_words;
             let worker_metrics = Arc::clone(&shard_metrics);
             let worker_obs = obs.as_ref().map(|o| Arc::clone(&o.shards[index]));
             let handle = std::thread::Builder::new()
                 .name(format!("hprng-pool-shard-{index}"))
-                .spawn(move || {
-                    shard::run(index, seed, kind, prefetch, worker_metrics, worker_obs, rx)
-                })
+                .spawn(move || shard::run(index, kind, prefetch, worker_metrics, worker_obs, rx))
                 .expect("spawning a pool shard worker thread");
             txs.push(tx);
             metrics.push(shard_metrics);
@@ -244,6 +256,8 @@ impl Pool {
                 metrics,
                 obs,
                 claimed: Mutex::new(HashMap::new()),
+                next_key: AtomicU64::new(0),
+                failover: builder.failover,
                 failovers: AtomicU64::new(0),
                 migrations: AtomicU64::new(0),
             }),
@@ -252,7 +266,6 @@ impl Pool {
             seed: builder.seed,
             kind: builder.kind,
             prefetch_words: builder.prefetch_words,
-            failover: builder.failover,
         }
     }
 
@@ -287,9 +300,10 @@ impl Pool {
 
     /// Admits a client on an explicit lane index. The stream for a given
     /// `(seed, id)` pair is always the same; two live clients that
-    /// deliberately share an id each get their own session and therefore
-    /// observe identical streams. Ids used here are claimed while any
-    /// holder is alive, so [`Pool::try_client`] never auto-assigns them.
+    /// deliberately share an id each get their own session (sessions are
+    /// keyed by attachment, never by id) and therefore observe identical
+    /// streams. Ids used here are claimed while any holder is alive, so
+    /// [`Pool::try_client`] never auto-assigns them.
     ///
     /// With [`crate::PoolBuilder::failover`] enabled, admission routes
     /// around poisoned shards the same way live clients do — a lane whose
@@ -298,30 +312,10 @@ impl Pool {
     /// home shard is authoritative and a poisoned one fails the
     /// admission.
     pub fn try_client_with_id(&self, id: u64) -> Result<PoolClient, HprngError> {
-        let shards = self.shared.txs.len();
+        let shards = self.shards();
         let home = (id % shards as u64) as usize;
-        if !self.failover {
-            return self.admit(id, home, None);
-        }
-        // Route around poisoned shards like a live client would. The
-        // health probe alone is not enough: a shard can die between the
-        // probe and the attach (or its poison flag may not be visible
-        // yet), in which case the admission itself reports
-        // `ShardPoisoned` and the next shard takes the lane. Any other
-        // admission error is not a routing problem and propagates as is.
-        let mut last = HprngError::ShardPoisoned { shard: home };
-        for offset in 0..shards {
-            let shard = (home + offset) % shards;
-            if self.shared.metrics[shard].poisoned.is_poisoned() {
-                last = HprngError::ShardPoisoned { shard };
-                continue;
-            }
-            match self.admit(id, shard, None) {
-                Err(e @ HprngError::ShardPoisoned { .. }) => last = e,
-                other => return other,
-            }
-        }
-        Err(last)
+        let tries = if self.shared.failover { shards } else { 1 };
+        self.admit(id, home, tries, None)
     }
 
     /// Re-admits a client from a checkpointed [`StreamState`] — captured
@@ -335,8 +329,9 @@ impl Pool {
     /// client lands on its home shard (`id % shards`) unless that shard
     /// is poisoned, in which case the next healthy shard takes it.
     pub fn try_client_resumed(&self, state: &StreamState) -> Result<PoolClient, HprngError> {
-        let shard = self.shared.healthy_shard_for(state.id);
-        self.try_client_resumed_on(state, shard)
+        let shards = self.shards();
+        let home = (state.id % shards as u64) as usize;
+        self.admit(state.id, home, shards, Some(state))
     }
 
     /// [`Pool::try_client_resumed`] pinned onto an explicit shard —
@@ -347,64 +342,59 @@ impl Pool {
         state: &StreamState,
         shard: usize,
     ) -> Result<PoolClient, HprngError> {
-        if shard >= self.shared.txs.len() {
+        if shard >= self.shards() {
             return Err(HprngError::InvalidParam {
                 field: "shard",
                 reason: "no such shard in this pool",
             });
         }
-        if state.seed != hprng_core::seeding::lane_seed(self.seed, state.id) {
-            return Err(HprngError::RestoreMismatch {
-                field: "seed",
-                reason: "state seed does not derive from this pool's seed and the client id",
-            });
-        }
-        if state.lanes != self.kind.lanes().max(1) {
-            return Err(HprngError::RestoreMismatch {
-                field: "lanes",
-                reason: "state lane count disagrees with this pool's session kind",
-            });
-        }
-        self.admit(state.id, shard, Some(state))
+        self.admit(state.id, shard, 1, Some(state))
     }
 
-    /// The one admission path: claims the id, attaches (optionally with a
-    /// resume state), primes the double-buffered prefetch, and builds the
-    /// client handle.
+    /// The one admission path: checks that a resume state belongs to this
+    /// pool, claims the id, attaches on the first of the `tries` shards of
+    /// the ring from `first` that takes it ([`PoolShared::attach`]), and
+    /// builds the client handle.
     fn admit(
         &self,
         id: u64,
-        shard: usize,
+        first: usize,
+        tries: usize,
         resume: Option<&StreamState>,
     ) -> Result<PoolClient, HprngError> {
+        let seed = hprng_core::seeding::lane_seed(self.seed, id);
+        if let Some(state) = resume {
+            if state.seed != seed {
+                return Err(HprngError::RestoreMismatch {
+                    field: "seed",
+                    reason: "state seed does not derive from this pool's seed and the client id",
+                });
+            }
+            if state.lanes != self.kind.lanes().max(1) {
+                return Err(HprngError::RestoreMismatch {
+                    field: "lanes",
+                    reason: "state lane count disagrees with this pool's session kind",
+                });
+            }
+        }
         self.shared.claim(id);
-        match self.admit_claimed(id, shard, resume) {
-            Ok(client) => Ok(client),
+        let rails = match self.shared.attach(id, seed, first, tries, resume) {
+            Ok(rails) => rails,
             Err(e) => {
                 // A failed admission must not leak the claim.
                 self.shared.release(id);
-                Err(e)
+                return Err(e);
             }
-        }
-    }
-
-    fn admit_claimed(
-        &self,
-        id: u64,
-        shard: usize,
-        resume: Option<&StreamState>,
-    ) -> Result<PoolClient, HprngError> {
-        let rails = self.shared.attach(id, shard, resume)?;
+        };
         let mut client = PoolClient::new(
             id,
             self.kind.lanes().max(1),
-            hprng_core::seeding::lane_seed(self.seed, id),
+            seed,
             rails,
             Arc::clone(&self.shared),
-            self.failover,
         );
         if let Some(state) = resume {
-            client.prime_from_state(state);
+            client.resume(state);
         }
         Ok(client)
     }
@@ -538,7 +528,7 @@ impl std::fmt::Debug for Pool {
             .field("shards", &self.shared.txs.len())
             .field("kind", &self.kind)
             .field("prefetch_words", &self.prefetch_words)
-            .field("failover", &self.failover)
+            .field("failover", &self.shared.failover)
             .finish_non_exhaustive()
     }
 }

@@ -13,10 +13,11 @@ use hprng_transport::{PoisonFlag, PoisonGuard, RingReceiver, RingSender};
 use crate::config::SessionKind;
 use crate::obs::ShardObs;
 
-/// A refilled prefetch block (or why the refill failed): the block the
-/// client sent with its [`Request::Refill`] overwritten in place, or the
-/// spare block the worker filled ahead for the client, which the sent
-/// block then replaces.
+/// A filled prefetch block (or why the fill failed): one of the two
+/// blocks a [`Request::Attach`] primes, the block the client sent with
+/// its [`Request::Refill`] overwritten in place, or the spare block the
+/// worker filled ahead for the client, which the sent block then
+/// replaces.
 pub(crate) type Reply = Result<Vec<u64>, HprngError>;
 
 /// The answer to a [`Request::Checkpoint`]: the session's resumable state
@@ -26,24 +27,37 @@ pub(crate) type StateReply = Result<StreamState, HprngError>;
 /// The shard request protocol. Clients own a clone of the shard's
 /// bounded request-[`RingSender`]; the ring bound is the backpressure
 /// surface.
+///
+/// A session is keyed by its attachment: [`crate::pool::PoolShared`]
+/// hands out a fresh `key` for every `Attach`, and `Refill`,
+/// `Checkpoint` and `Detach` name it. Two live clients on one lane id
+/// therefore hold two sessions, and each reaches only its own.
 pub(crate) enum Request {
-    /// A new client: build its session from its lane seed and remember its
-    /// reply channel.
+    /// A new session: build it from its lane seed, fast-forward it onto
+    /// `resume` when given, and answer with the client's two primed
+    /// blocks on `reply`. Each priming fill is served like a `Refill`.
     Attach {
-        /// Client id (the lane index of the seed derivation).
+        /// The attachment's session key.
+        key: u64,
+        /// Client id (the lane index of the seed derivation), stamped
+        /// into checkpoints and span names.
         client: u64,
-        /// Where refilled blocks go. Capacity 2 — matching the two
+        /// The lane seed the session is a pure function of.
+        seed: u64,
+        /// Where filled blocks go. Capacity 2 — matching the two
         /// prefetch blocks a client keeps in flight — so the worker's
         /// reply sends never block on a live client.
         reply: RingSender<Reply>,
         /// When present, the freshly built session is fast-forwarded onto
-        /// this checkpointed state before it serves its first refill —
-        /// the failover / migration / restore-from-disk admission path.
+        /// this checkpointed state before its priming fills — the
+        /// failover / migration / restore-from-disk admission path.
         /// Boxed to keep the enqueued request small.
         resume: Option<Box<StreamState>>,
+        /// When the request entered the queue (see `Refill`).
+        enqueued_ns: f64,
     },
-    /// Capture the client's session state
-    /// ([`OnDemandRng::try_checkpoint`]) and send it back on `reply`.
+    /// Capture the session's state ([`OnDemandRng::try_checkpoint`]) and
+    /// send it back on `reply`.
     ///
     /// The state is positioned at the words the *session produced*, which
     /// leads the words the client consumed by up to three blocks (its two
@@ -51,32 +65,31 @@ pub(crate) enum Request {
     /// that need the consumer-exact resume point use the client's own
     /// acked counters ([`crate::PoolClient::checkpoint`]) instead.
     Checkpoint {
-        /// Which client's session to capture.
-        client: u64,
+        /// Which session to capture.
+        key: u64,
         /// Where the captured state goes (capacity 1 is enough).
         reply: RingSender<StateReply>,
     },
-    /// Refill one prefetch block of `client`'s stream: the worker
+    /// Refill one prefetch block of a session's stream: the worker
     /// overwrites `block` and sends it back on the client's reply
     /// channel, or sends the spare it filled ahead and keeps `block` as
     /// the next spare. Each client owns its two blocks and the worker
     /// keeps one spare per client, so the steady-state serving path
     /// allocates nothing.
     Refill {
-        /// Which client's session to draw from.
-        client: u64,
-        /// The client's drained block. Empty on the two requests that
-        /// prime a client's double buffer; the worker allocates it then.
+        /// Which session to draw from.
+        key: u64,
+        /// The client's drained block, a full block the worker sent it.
         block: Vec<u64>,
         /// When the request entered the queue, in nanoseconds on the
         /// pool's tracing epoch — the worker computes enqueue-wait from
         /// it at dequeue. `NaN` when tracing is off.
         enqueued_ns: f64,
     },
-    /// The client is gone; drop its session.
+    /// The attachment is gone; drop its session.
     Detach {
-        /// Which client to forget.
-        client: u64,
+        /// Which session to forget.
+        key: u64,
     },
     /// Drain and exit (sent by [`crate::Pool::shutdown`] / `Drop`).
     Shutdown,
@@ -88,7 +101,7 @@ pub(crate) enum Request {
 pub(crate) struct ShardMetrics {
     /// Sessions currently attached.
     pub clients: AtomicUsize,
-    /// Refill requests served.
+    /// Blocks served: refills and admissions' priming fills.
     pub refills: AtomicU64,
     /// Words delivered in refill replies (words filled ahead count once
     /// their block is delivered).
@@ -106,6 +119,10 @@ pub(crate) struct ShardMetrics {
 const AHEAD_PIECE_WORDS: usize = 64;
 
 struct ClientSlot {
+    /// The client's lane id, for checkpoints and span names.
+    client: u64,
+    /// The client's lane seed, for minimal checkpoints.
+    seed: u64,
     session: Box<dyn OnDemandRng + Send>,
     reply: RingSender<Reply>,
     /// Prefetch size rounded up to a multiple of the session's lane count,
@@ -170,8 +187,8 @@ impl ClientSlot {
         self.spare.as_deref().filter(|spare| spare.wants_fill())
     }
 
-    /// Fills all of `block` from the session. Priming blocks arrive empty
-    /// and are sized here; from then on the resize is a no-op.
+    /// Fills all of `block` from the session. A priming fill's block
+    /// arrives empty and is sized here; from then on the resize is a no-op.
     fn fill(&mut self, mut block: Vec<u64>) -> Reply {
         block.resize(self.chunk, 0);
         draw(&mut *self.session, &mut block)?;
@@ -181,17 +198,12 @@ impl ClientSlot {
     /// Serves a refill on a work-conserving shard. Returns the reply and
     /// whether it is the spare.
     ///
-    /// A priming refill (an empty `Vec`) is filled directly, so a
-    /// capacity-0 placeholder never becomes the spare. The first drained
-    /// block reserves the spare: a fixed point after admission, so
-    /// neither admission nor idle time allocates. A spare holding words
-    /// is finished and swapped for the drained block, which becomes the
-    /// next spare; an empty spare leaves the drained block to be filled
-    /// directly.
+    /// The first drained block reserves the spare: a fixed point after
+    /// admission, so neither admission nor idle time allocates. A spare
+    /// holding words is finished and swapped for the drained block, which
+    /// becomes the next spare; an empty spare leaves the drained block to
+    /// be filled directly.
     fn refill_ahead(&mut self, mut block: Vec<u64>, refill: u64) -> (Reply, bool) {
-        if block.capacity() == 0 {
-            return (self.fill(block), false);
-        }
         let chunk = self.chunk;
         let spare = self.spare.get_or_insert_with(|| {
             Box::new(Spare {
@@ -205,7 +217,6 @@ impl ClientSlot {
         if let Some(e) = spare.error.take() {
             return (Err(e), false);
         }
-        block.resize(chunk, 0);
         if spare.filled == 0 {
             return (draw(&mut *self.session, &mut block).map(|()| block), false);
         }
@@ -218,7 +229,9 @@ impl ClientSlot {
     }
 }
 
-/// Builds (and, on resume, fast-forwards) one client session.
+/// Builds (and, on resume, fast-forwards) one client session from its
+/// lane seed. A resume state has passed the pool's seed-lattice and
+/// lane-count checks, or the client built it from its own counters.
 ///
 /// The shard only ever serves full-lane-width rounds, so a resume
 /// fast-forwards by `session_words / lanes` *whole* rounds; the client
@@ -232,12 +245,10 @@ impl ClientSlot {
 /// lane seed and the full-width request history.
 fn build_session(
     kind: &SessionKind,
-    pool_seed: u64,
     prefetch_words: usize,
-    client: u64,
+    seed: u64,
     resume: Option<&StreamState>,
 ) -> Result<(Box<dyn OnDemandRng + Send>, usize), HprngError> {
-    let seed = hprng_core::seeding::lane_seed(pool_seed, client);
     let mut session = kind.build(seed)?;
     // The session must be as wide as the kind advertises:
     // `PoolClient::lanes()` and the client's block sizing are both derived
@@ -253,18 +264,6 @@ fn build_session(
     let lanes = session.lanes();
     let chunk = prefetch_words.div_ceil(lanes) * lanes;
     if let Some(state) = resume {
-        if state.seed != seed {
-            return Err(HprngError::RestoreMismatch {
-                field: "seed",
-                reason: "state seed is not the lane seed of this pool seed and client id",
-            });
-        }
-        if state.lanes != lanes {
-            return Err(HprngError::RestoreMismatch {
-                field: "lanes",
-                reason: "state lane count disagrees with the session kind",
-            });
-        }
         let full = state.session_words - state.session_words % lanes as u64;
         if full > 0 {
             let mut rounded = state.clone();
@@ -283,45 +282,130 @@ fn build_session(
     Ok((session, chunk))
 }
 
-/// Fills one piece of the spare of the least recently refilled client
-/// whose spare is not full; `false` when every spare is full. `filling`
-/// keeps that client between pieces: a client starts to want a fill only
-/// when it is refilled, which makes it the most recently refilled, so the
-/// choice stands until the chosen client is refilled (which clears
-/// `filling`), detached, or full.
-fn fill_ahead(
-    slots: &mut HashMap<u64, ClientSlot>,
-    filling: &mut Option<u64>,
+/// A shard worker's sessions and what serving them needs.
+struct Worker {
+    shard: usize,
+    metrics: Arc<ShardMetrics>,
+    obs: Option<Arc<ShardObs>>,
+    /// Hosted sessions, keyed by attachment.
+    slots: HashMap<u64, ClientSlot>,
+    /// Blocks served, priming fills included, for the 1-in-N worker span
+    /// sampling gate and the clients' `refilled_at` stamps.
+    served_refills: u64,
+    /// Whether idle time fills each client's next block ahead of demand.
+    fills_ahead: bool,
+    /// Words idle time fills between two polls of the request ring.
     piece: usize,
-    obs: Option<&ShardObs>,
-) -> bool {
-    *filling = filling
-        .filter(|id| slots.get(id).and_then(ClientSlot::spare_to_fill).is_some())
-        .or_else(|| {
-            slots
-                .iter()
-                .filter_map(|(&id, slot)| Some((id, slot.spare_to_fill()?.refilled_at)))
-                .min_by_key(|&(_, refilled_at)| refilled_at)
-                .map(|(id, _)| id)
-        });
-    let Some(slot) = filling.and_then(|id| slots.get_mut(&id)) else {
-        return false;
-    };
-    let Some(spare) = slot.spare.as_deref_mut() else {
-        return false;
-    };
-    let words = spare.fill(&mut *slot.session, piece);
-    if let Some(o) = obs {
-        o.ahead_words.add(words as u64);
+    /// The client whose spare idle time is filling (see `fill_ahead`).
+    filling: Option<u64>,
+}
+
+impl Worker {
+    /// Fills one piece of the spare of the least recently refilled client
+    /// whose spare is not full; `false` when every spare is full.
+    /// `filling` keeps that client between pieces: a client starts to want
+    /// a fill only when it is refilled, which makes it the most recently
+    /// refilled, so the choice stands until the chosen client is refilled
+    /// (which clears `filling`), detached, or full.
+    fn fill_ahead(&mut self) -> bool {
+        let slots = &mut self.slots;
+        self.filling = self
+            .filling
+            .filter(|id| slots.get(id).and_then(ClientSlot::spare_to_fill).is_some())
+            .or_else(|| {
+                slots
+                    .iter()
+                    .filter_map(|(&id, slot)| Some((id, slot.spare_to_fill()?.refilled_at)))
+                    .min_by_key(|&(_, refilled_at)| refilled_at)
+                    .map(|(id, _)| id)
+            });
+        let Some(slot) = self.filling.and_then(|id| slots.get_mut(&id)) else {
+            return false;
+        };
+        let Some(spare) = slot.spare.as_deref_mut() else {
+            return false;
+        };
+        let words = spare.fill(&mut *slot.session, self.piece);
+        if let Some(o) = &self.obs {
+            o.ahead_words.add(words as u64);
+        }
+        true
     }
-    true
+
+    /// Fills one block for session `key` and sends it on the client's
+    /// reply ring: a `Refill`'s drained block, or (`prime`) an empty one
+    /// for each of an `Attach`'s two priming fills, which is filled
+    /// directly and never becomes the spare.
+    fn serve(&mut self, key: u64, block: Vec<u64>, prime: bool) {
+        let Some(slot) = self.slots.get_mut(&key) else {
+            return; // detached (or attach failed): drop the block
+        };
+        // Chaos: a Panic here kills the worker mid-serve (the PoisonGuard
+        // in `run` marks the shard during the unwind, and the block in
+        // hand unwinds with it); a Stall models a slow session. Filling
+        // ahead fires nothing, so the point counts blocks served.
+        #[cfg(feature = "chaos")]
+        hprng_transport::chaos::act(hprng_transport::chaos::FaultPoint::ShardRefill {
+            shard: self.shard,
+        });
+        self.served_refills += 1;
+        let service_start = self.obs.as_ref().map(|o| o.now_ns());
+        let (result, from_spare) = if self.fills_ahead && !prime {
+            if self.filling == Some(key) {
+                self.filling = None;
+            }
+            slot.refill_ahead(block, self.served_refills)
+        } else {
+            (slot.fill(block), false)
+        };
+        let reply = match result {
+            Ok(block) => {
+                self.metrics.refills.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .words
+                    .fetch_add(block.len() as u64, Ordering::Relaxed);
+                if let (Some(o), Some(start)) = (&self.obs, service_start) {
+                    let end = o.now_ns();
+                    o.service_ns.record_ns((end - start).max(0.0) as u64);
+                    o.words.add(block.len() as u64);
+                    if from_spare {
+                        o.spare_refills.add(1);
+                    }
+                    if self.served_refills.is_multiple_of(o.sample_every) {
+                        o.record_span(
+                            Stage::Generate,
+                            &format!("shard{} refill c{}", self.shard, slot.client),
+                            start,
+                            end,
+                        );
+                    }
+                }
+                Ok(block)
+            }
+            Err(e) => {
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
+        };
+        if slot.reply.send(reply).is_err() {
+            // Client dropped its receiver without detaching; the
+            // undelivered block is dropped with the reply, and its spare
+            // with the slot.
+            self.detach(key);
+        }
+    }
+
+    fn detach(&mut self, key: u64) {
+        if self.slots.remove(&key).is_some() {
+            self.metrics.clients.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The worker loop. Runs on its own thread until [`Request::Shutdown`]
 /// arrives or every request sender is gone.
 pub(crate) fn run(
     shard: usize,
-    pool_seed: u64,
     kind: SessionKind,
     prefetch_words: usize,
     metrics: Arc<ShardMetrics>,
@@ -331,54 +415,80 @@ pub(crate) fn run(
     // Mirrors the pipeline ring's poisoning discipline: a dead worker is
     // observable state, not a silent hang.
     let guard = PoisonGuard::arm(metrics.poisoned.clone());
-    let mut slots: HashMap<u64, ClientSlot> = HashMap::new();
-    // Refills served, for the 1-in-N worker span sampling gate and the
-    // clients' `refilled_at` stamps.
-    let mut served_refills: u64 = 0;
-    // Work-conserving: while the ring is empty, fill each client's next
-    // block ahead of demand. Only the kinds the pool builds itself do:
-    // their streams are a pure function of the lane seed, and nothing
-    // else observes their calls. A `Custom` session may count, time or
-    // fail its calls on purpose, so it is called only when a refill asks.
-    let fills_ahead = !matches!(kind, SessionKind::Custom { .. });
     let lanes = kind.lanes().max(1);
-    let piece = AHEAD_PIECE_WORDS.div_ceil(lanes) * lanes;
-    // The client whose spare idle time is filling (see `fill_ahead`).
-    let mut filling: Option<u64> = None;
+    let mut worker = Worker {
+        shard,
+        metrics,
+        obs,
+        slots: HashMap::new(),
+        served_refills: 0,
+        // Work-conserving: while the ring is empty, fill each client's
+        // next block ahead of demand. Only the kinds the pool builds
+        // itself do: their streams are a pure function of the lane seed,
+        // and nothing else observes their calls. A `Custom` session may
+        // count, time or fail its calls on purpose, so it is called only
+        // when a block is asked for.
+        fills_ahead: !matches!(kind, SessionKind::Custom { .. }),
+        piece: AHEAD_PIECE_WORDS.div_ceil(lanes) * lanes,
+        filling: None,
+    };
 
     loop {
         // Queued requests first, in arrival order; idle time fills spares
         // in pieces, polling the ring between them; block once every spare
         // is full (a `Custom` shard blocks at once).
-        let polled = if fills_ahead { rx.try_recv() } else { None };
+        let polled = if worker.fills_ahead {
+            rx.try_recv()
+        } else {
+            None
+        };
         let request = match polled {
             Some(request) => request,
-            None if fills_ahead && fill_ahead(&mut slots, &mut filling, piece, obs.as_deref()) => {
-                continue
-            }
+            None if worker.fills_ahead && worker.fill_ahead() => continue,
             None => match rx.recv() {
                 Some(request) => request,
                 None => break,
             },
         };
+        // One enqueue-wait sample per `Attach` or `Refill`, at dequeue.
+        if let (
+            Some(o),
+            Request::Attach { enqueued_ns, .. } | Request::Refill { enqueued_ns, .. },
+        ) = (&worker.obs, &request)
+        {
+            if !enqueued_ns.is_nan() {
+                let wait = (o.now_ns() - enqueued_ns).max(0.0);
+                o.enqueue_wait_ns.record_ns(wait as u64);
+            }
+        }
         match request {
             Request::Attach {
+                key,
                 client,
+                seed,
                 reply,
                 resume,
+                ..
             } => {
-                match build_session(&kind, pool_seed, prefetch_words, client, resume.as_deref()) {
+                match build_session(&kind, prefetch_words, seed, resume.as_deref()) {
                     Ok((session, chunk)) => {
-                        slots.insert(
-                            client,
+                        worker.slots.insert(
+                            key,
                             ClientSlot {
+                                client,
+                                seed,
                                 session,
                                 reply,
                                 chunk,
                                 spare: None,
                             },
                         );
-                        metrics.clients.fetch_add(1, Ordering::Relaxed);
+                        worker.metrics.clients.fetch_add(1, Ordering::Relaxed);
+                        // The double buffer: the client drains one block
+                        // while the worker refills the other.
+                        for _ in 0..2 {
+                            worker.serve(key, Vec::new(), true);
+                        }
                     }
                     Err(e) => {
                         // The client learns on its first receive; nothing
@@ -387,14 +497,14 @@ pub(crate) fn run(
                     }
                 }
             }
-            Request::Checkpoint { client, reply } => {
-                let response = match slots.get_mut(&client) {
+            Request::Checkpoint { key, reply } => {
+                let response = match worker.slots.get_mut(&key) {
                     Some(slot) => match slot.session.try_checkpoint() {
                         Ok(mut state) => {
                             // Sessions do not know their pool identity;
                             // the worker stamps it so the state is
                             // directly resumable via the pool.
-                            state.id = client;
+                            state.id = slot.client;
                             Ok(state)
                         }
                         // A session without rich state is still resumable
@@ -402,8 +512,8 @@ pub(crate) fn run(
                         // (minimal) checkpoint.
                         Err(HprngError::CheckpointUnsupported { .. }) => Ok(StreamState::minimal(
                             slot.session.label(),
-                            client,
-                            hprng_core::seeding::lane_seed(pool_seed, client),
+                            slot.client,
+                            slot.seed,
                             slot.session.lanes().max(1),
                             slot.session.words_served(),
                         )),
@@ -416,81 +526,8 @@ pub(crate) fn run(
                 };
                 let _ = reply.send(response);
             }
-            Request::Refill {
-                client,
-                block,
-                enqueued_ns,
-            } => {
-                if let Some(o) = &obs {
-                    if !enqueued_ns.is_nan() {
-                        let wait = (o.now_ns() - enqueued_ns).max(0.0);
-                        o.enqueue_wait_ns.record_ns(wait as u64);
-                    }
-                }
-                let Some(slot) = slots.get_mut(&client) else {
-                    continue; // detached (or attach failed): drop the block
-                };
-                // Chaos: a Panic here kills the worker mid-serve (the
-                // PoisonGuard above marks the shard during the unwind, and
-                // the block in hand unwinds with it); a Stall models a
-                // slow session. Filling ahead fires nothing, so the point
-                // counts refills served.
-                #[cfg(feature = "chaos")]
-                hprng_transport::chaos::act(hprng_transport::chaos::FaultPoint::ShardRefill {
-                    shard,
-                });
-                served_refills += 1;
-                let service_start = obs.as_ref().map(|o| o.now_ns());
-                let (result, from_spare) = if fills_ahead {
-                    if filling == Some(client) {
-                        filling = None;
-                    }
-                    slot.refill_ahead(block, served_refills)
-                } else {
-                    (slot.fill(block), false)
-                };
-                let reply = match result {
-                    Ok(block) => {
-                        metrics.refills.fetch_add(1, Ordering::Relaxed);
-                        metrics
-                            .words
-                            .fetch_add(block.len() as u64, Ordering::Relaxed);
-                        if let (Some(o), Some(start)) = (&obs, service_start) {
-                            let end = o.now_ns();
-                            o.service_ns.record_ns((end - start).max(0.0) as u64);
-                            o.words.add(block.len() as u64);
-                            if from_spare {
-                                o.spare_refills.add(1);
-                            }
-                            if served_refills.is_multiple_of(o.sample_every) {
-                                o.record_span(
-                                    Stage::Generate,
-                                    &format!("shard{shard} refill c{client}"),
-                                    start,
-                                    end,
-                                );
-                            }
-                        }
-                        Ok(block)
-                    }
-                    Err(e) => {
-                        metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        Err(e)
-                    }
-                };
-                if slot.reply.send(reply).is_err() {
-                    // Client dropped its receiver without detaching; the
-                    // undelivered block is dropped with the reply, and its
-                    // spare with the slot.
-                    slots.remove(&client);
-                    metrics.clients.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            Request::Detach { client } => {
-                if slots.remove(&client).is_some() {
-                    metrics.clients.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
+            Request::Refill { key, block, .. } => worker.serve(key, block, false),
+            Request::Detach { key } => worker.detach(key),
             Request::Shutdown => break,
         }
     }
@@ -506,10 +543,26 @@ mod tests {
     fn slot(session: Box<dyn OnDemandRng + Send>, chunk: usize) -> ClientSlot {
         let (reply, _) = bounded(2);
         ClientSlot {
+            client: 0,
+            seed: 0,
             session,
             reply,
             chunk,
             spare: None,
+        }
+    }
+
+    /// A work-conserving worker filling `piece` words at a time.
+    fn worker(piece: usize) -> Worker {
+        Worker {
+            shard: 0,
+            metrics: Arc::default(),
+            obs: None,
+            slots: HashMap::new(),
+            served_refills: 0,
+            fills_ahead: true,
+            piece,
+            filling: None,
         }
     }
 
@@ -534,10 +587,9 @@ mod tests {
             || -> Vec<u64> { (0..CHUNK).map(|_| golden.get_next_rand()).collect() };
         let mut slot = slot(Box::new(ExpanderWalkRng::from_seed_u64(9)), CHUNK);
 
-        // Priming refills are filled directly and reserve nothing.
-        for stamp in 1..=2 {
-            let (reply, from_spare) = slot.refill_ahead(Vec::new(), stamp);
-            assert_eq!((reply.unwrap(), from_spare), (next_block(), false));
+        // Priming fills are filled directly and reserve nothing.
+        for _ in 0..2 {
+            assert_eq!(slot.fill(Vec::new()).unwrap(), next_block());
             assert!(slot.spare.is_none());
         }
         // The first drained block reserves the spare; the spare is empty,
@@ -570,19 +622,22 @@ mod tests {
     #[test]
     fn idle_time_fills_the_least_recently_refilled_spare_first() {
         const CHUNK: usize = 128;
-        let mut slots = HashMap::new();
+        let mut worker = worker(CHUNK / 2);
         for (id, refill) in [(7u64, 9u64), (3, 4), (5, 6)] {
             let mut slot = slot(Box::new(ExpanderWalkRng::from_seed_u64(id)), CHUNK);
             // A drained block reserves an empty spare, stamped `refill`.
             assert!(slot.refill_ahead(vec![0; CHUNK], refill).0.is_ok());
-            slots.insert(id, slot);
+            worker.slots.insert(id, slot);
         }
-        let (mut filling, mut order) = (None, Vec::new());
-        while fill_ahead(&mut slots, &mut filling, CHUNK / 2, None) {
-            order.extend(filling);
+        let mut order = Vec::new();
+        while worker.fill_ahead() {
+            order.extend(worker.filling);
         }
         assert_eq!(order, [3, 3, 5, 5, 7, 7]);
-        assert!(slots.values().all(|slot| spare(slot).filled == CHUNK));
+        assert!(worker
+            .slots
+            .values()
+            .all(|slot| spare(slot).filled == CHUNK));
     }
 
     /// A walk that fails once it has served `limit` words.
@@ -617,8 +672,8 @@ mod tests {
             limit: 3 * CHUNK as u64 + 40,
         };
         let mut slot = slot(Box::new(session), CHUNK);
-        for stamp in 1..=2 {
-            assert!(slot.refill_ahead(Vec::new(), stamp).0.is_ok());
+        for _ in 0..2 {
+            assert!(slot.fill(Vec::new()).is_ok());
         }
         assert!(slot.refill_ahead(vec![0; CHUNK], 3).0.is_ok());
         // The session fails 8 words into the spare's second piece: the
@@ -630,5 +685,41 @@ mod tests {
         let (reply, from_spare) = slot.refill_ahead(vec![0; CHUNK], 4);
         assert_eq!((reply, from_spare), (Err(HprngError::EmptyRequest), false));
         assert!(spare(&slot).wants_fill());
+    }
+
+    /// Admission is one message: an `Attach` alone answers with the
+    /// client's two primed blocks, full and in stream order, and nothing
+    /// more.
+    #[test]
+    fn an_attach_alone_primes_two_full_blocks() {
+        const CHUNK: usize = 64;
+        let (tx, rx) = bounded(4);
+        let metrics = Arc::new(ShardMetrics::default());
+        let worker = std::thread::spawn({
+            let metrics = Arc::clone(&metrics);
+            move || run(0, SessionKind::ExpanderWalk, CHUNK, metrics, None, rx)
+        });
+        let (reply, replies) = bounded(4);
+        let attach = Request::Attach {
+            key: 0,
+            client: 5,
+            seed: 9,
+            reply,
+            resume: None,
+            enqueued_ns: f64::NAN,
+        };
+        assert!(tx.send(attach).is_ok());
+        assert!(tx.send(Request::Shutdown).is_ok());
+        worker.join().expect("the worker exits cleanly");
+
+        let mut golden = ExpanderWalkRng::from_seed_u64(9);
+        for _ in 0..2 {
+            let block = replies.recv().expect("a primed block").unwrap();
+            let want: Vec<u64> = (0..CHUNK).map(|_| golden.get_next_rand()).collect();
+            assert_eq!(block, want);
+        }
+        assert!(replies.recv().is_none(), "a third block was sent");
+        assert_eq!(metrics.refills.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.words.load(Ordering::Relaxed), 2 * CHUNK as u64);
     }
 }

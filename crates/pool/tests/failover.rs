@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use hprng_core::seeding::lane_seed;
-use hprng_core::{ExpanderWalkRng, HprngError, HybridParams, OnDemandRng};
+use hprng_core::{
+    ExpanderLanes, ExpanderWalkRng, HprngError, HybridParams, OnDemandRng, SplitOnDemand,
+};
 use hprng_pool::{Pool, SessionKind, StreamState};
 
 /// The single-lane reference stream for client `id` of a pool over `seed`
@@ -95,6 +97,39 @@ fn resume_pinned_to_a_foreign_shard_serves_the_same_stream() {
     drop(client);
     let mut resumed = pool.try_client_resumed_on(&state, 5).unwrap();
     assert_eq!(resumed.shard(), 5);
+    assert_eq!(drain_ragged(&mut resumed, 110), &golden[90..]);
+    drop(resumed);
+    pool.shutdown();
+}
+
+/// A resumed client whose home shard is poisoned lands on the next
+/// healthy shard of the ring and serves its stream from there.
+#[test]
+fn resume_routes_around_a_poisoned_home_shard() {
+    const SEED: u64 = 9;
+    const ID: u64 = 1; // home shard 1 of 3
+    const VICTIM: u64 = 4; // also homes on shard 1, and kills it
+    let golden = golden_expander(SEED, ID, 200);
+    let pool = Pool::builder(SEED)
+        .shards(3)
+        .prefetch_words(16)
+        .session(panic_once_kind(SEED, VICTIM, 0))
+        .build()
+        .unwrap();
+    let mut client = pool.try_client_with_id(ID).unwrap();
+    assert_eq!(drain_ragged(&mut client, 90), &golden[..90]);
+    let state = client.checkpoint();
+    drop(client);
+
+    // The victim's first priming fill panics and poisons shard 1.
+    let _victim = pool.try_client_with_id(VICTIM).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while pool.stats().poisoned_shards != [1] {
+        assert!(std::time::Instant::now() < deadline, "shard 1 never died");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut resumed = pool.try_client_resumed(&state).unwrap();
+    assert_eq!(resumed.shard(), 2);
     assert_eq!(drain_ragged(&mut resumed, 110), &golden[90..]);
     drop(resumed);
     pool.shutdown();
@@ -609,4 +644,33 @@ fn dropped_clients_release_their_ids_for_reuse() {
     assert_eq!(d.id(), 2);
     drop((a, b, c, d));
     pool.shutdown();
+}
+
+/// Two live clients on one id each hold their own session: sessions are
+/// keyed by attachment, never by id, so the second admission neither
+/// takes over nor detaches the first client's session.
+#[test]
+fn two_live_clients_on_one_id_each_serve_the_lane() {
+    const SEED: u64 = 42;
+    const ID: u64 = 5;
+    let mut lane = ExpanderLanes::new(SEED).lane(ID);
+    let golden: Vec<u64> = (0..600).map(|_| lane.get_next_rand()).collect();
+    for shards in [1usize, 2] {
+        let pool = Pool::builder(SEED)
+            .shards(shards)
+            .prefetch_words(64)
+            .build()
+            .unwrap();
+        let mut first = pool.try_client_with_id(ID).unwrap();
+        let mut second = pool.try_client_with_id(ID).unwrap();
+        assert_eq!(drain_ragged(&mut first, 300), &golden[..300]);
+        assert_eq!(drain_ragged(&mut second, 300), &golden[..300]);
+        assert_eq!(pool.stats().clients, 2, "{shards} shard(s)");
+
+        drop(first);
+        assert_eq!(drain_ragged(&mut second, 300), &golden[300..]);
+        drop(second);
+        assert_eq!(pool.live_claims(), 0);
+        pool.shutdown();
+    }
 }

@@ -185,12 +185,9 @@ fn custom_sessions_are_never_called_ahead_of_demand() {
         })
         .build()
         .unwrap();
-    let mut client = pool.try_client().unwrap();
-    let mut block = [0u64; BLOCK];
-    for drawn in 1..=6u64 {
-        client.fill_words(&mut block).unwrap();
-        // Two priming refills, then one per drained block.
-        let refills = drawn + 1;
+    // Waits until the shard has served `refills` blocks, idles it, and
+    // checks that it called the session for exactly those blocks.
+    let settle = |refills: u64| {
         let until = Instant::now() + Duration::from_secs(10);
         while pool.stats().refills < refills {
             assert!(Instant::now() < until, "refill {refills} never served");
@@ -204,6 +201,15 @@ fn custom_sessions_are_never_called_ahead_of_demand() {
             refills * BLOCK as u64,
             "a Custom session was called ahead of demand"
         );
+    };
+    let mut client = pool.try_client().unwrap();
+    // Admission alone fills the two primed blocks.
+    settle(2);
+    let mut block = [0u64; BLOCK];
+    for drawn in 1..=6u64 {
+        client.fill_words(&mut block).unwrap();
+        // Two priming fills, then one refill per drained block.
+        settle(drawn + 1);
     }
     drop(client);
     pool.shutdown();
