@@ -1,39 +1,131 @@
-//! Machine-readable benchmark export behind `repro bench --json-out`.
+//! The budgets behind `repro bench`, and the document that records what
+//! they measured.
 //!
-//! Produces one JSON document with per-generator host throughput,
-//! hybrid-pipeline batch-latency quantiles (from the telemetry
-//! [`Histogram`](hprng_telemetry::Histogram)), simulated busy fractions,
-//! and the measured monitor-tap overhead — the numbers regression
-//! dashboards want without scraping the pretty-printed tables.
+//! Four budgets gate the run: the sharded pool's speedup floor over a
+//! shared-mutex engine, the cost of request-path tracing, the
+//! checkpoint+restore round trip, and, against a baseline document, the
+//! hybrid pipeline's host words/s. Each budget turns the numbers it
+//! measured into a [`Verdict`]; [`bench_json`] runs them all and returns
+//! the document with every verdict. Throughput and overlap figures of the
+//! paper itself come from `repro table1`, `fig3`–`fig5` and `headline`.
 
-use hprng_baselines::{Kiss, Mt19937, Mt19937_64, Mwc64, SplitMix64, Xorwow};
-use hprng_core::pipeline::{Backend, CpuBackend, DeviceBackend, Engine};
-use hprng_core::{ExpanderLanes, ExpanderWalkRng, GlibcFeed, HybridPrng};
-use hprng_gpu_sim::{Device, DeviceConfig};
+use hprng_core::pipeline::{CpuBackend, Engine};
+use hprng_core::{ExpanderWalkRng, GlibcFeed, HybridPrng};
 use hprng_monitor::{MonitorConfig, MonitorHandle};
-use hprng_telemetry::{busy_fractions, chrome_trace, json, Recorder, Stage};
+use hprng_telemetry::{json, Recorder, Stage};
 use rand_core::RngCore;
 use std::time::Instant;
 
-fn words_per_s(mut next: impl FnMut() -> u64, words: usize) -> f64 {
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..words {
-        acc = acc.wrapping_add(next());
+/// The schema tag of the document [`bench_json`] writes. Version 1 files
+/// (`BENCH_PR2.json` to `BENCH_PR9.json`) still serve as baselines: both
+/// versions keep the rate at `hybrid.host_words_per_s`.
+const SCHEMA: &str = "hprng-bench-v2";
+
+/// The tracing budget: the median per-pair overhead, as a fraction of
+/// untraced words/s.
+const MAX_TRACING_OVERHEAD: f64 = 0.05;
+
+/// The checkpoint budget: each path's p99 round trip, in nanoseconds.
+const CHECKPOINT_BUDGET_NS: f64 = 1_000_000.0;
+
+/// One budget's verdict: `Ok(summary)` when what it measured is within
+/// its bound, `Err(reason)` on a miss.
+pub type Verdict = Result<String, String>;
+
+/// `Ok(summary)` when the bound `held`, otherwise `Err` naming the `miss`
+/// before the summary.
+fn verdict(held: bool, miss: &str, summary: String) -> Verdict {
+    if held {
+        Ok(summary)
+    } else {
+        Err(format!("{miss} — {summary}"))
     }
-    let secs = start.elapsed().as_secs_f64().max(1e-12);
-    // Keep the accumulator observable so the loop cannot be elided.
-    std::hint::black_box(acc);
-    words as f64 / secs
 }
 
-/// Sums the GENERATE-stage span time of one session run, with the
-/// quality tap attached at 1-in-`sample_every` when given.
-///
-/// This is the denominator of the monitor-overhead acceptance check: the
-/// tap runs in its own `monitor_tap` span *after* each GENERATE span, so
-/// any regression seen here is pipeline interference, not tap time.
-pub fn generate_stage_ns(seed: u64, words: usize, sample_every: Option<u64>) -> f64 {
+/// The pool budget: at `consumers` (twice the core count) the pool must
+/// serve at least `shards / 2` times the shared-mutex engine's words/s.
+fn pool_verdict(consumers: usize, shards: usize, pool_wps: f64, mutex_wps: f64) -> Verdict {
+    let floor = shards as f64 / 2.0;
+    verdict(
+        pool_wps >= floor * mutex_wps,
+        "pool throughput below its speedup floor",
+        format!(
+            "pool at {consumers} consumers: {pool_wps:.0} words/s vs shared-mutex \
+             {mutex_wps:.0} ({:.2}x, floor {floor:.1}x)",
+            pool_wps / mutex_wps.max(1e-12)
+        ),
+    )
+}
+
+/// The tracing budget: `overhead`, the median per-pair overhead of
+/// tracing at 1-in-`sample_every`, is at most [`MAX_TRACING_OVERHEAD`].
+/// `off_wps` and `on_wps` are the two sides' median words/s.
+fn tracing_verdict(sample_every: u64, off_wps: f64, on_wps: f64, overhead: f64) -> Verdict {
+    verdict(
+        overhead <= MAX_TRACING_OVERHEAD,
+        "tracing overhead beyond its budget",
+        format!(
+            "pool tracing at 1-in-{sample_every}: {on_wps:.0} words/s vs {off_wps:.0} untraced \
+             ({:.1}% overhead, budget {:.0}%)",
+            overhead * 100.0,
+            MAX_TRACING_OVERHEAD * 100.0
+        ),
+    )
+}
+
+/// The checkpoint budget: every path's p99 round trip, given as
+/// `(path, p99_ns)`, is at most [`CHECKPOINT_BUDGET_NS`].
+fn checkpoint_verdict(p99_ns: &[(&str, f64)]) -> Verdict {
+    let paths: Vec<String> = p99_ns
+        .iter()
+        .map(|(name, p99)| format!("{name} p99 {:.1}us", p99 / 1e3))
+        .collect();
+    verdict(
+        p99_ns.iter().all(|&(_, p99)| p99 <= CHECKPOINT_BUDGET_NS),
+        "checkpoint round trip beyond its budget",
+        format!(
+            "checkpoint+restore round trips ({}), budget {:.0} ms at p99",
+            paths.join(", "),
+            CHECKPOINT_BUDGET_NS / 1e6
+        ),
+    )
+}
+
+/// The baseline budget: the hybrid pipeline's host words/s may not drop
+/// below the baseline's by more than `max_drop` (a fraction, e.g. `0.2`
+/// for 20%).
+pub fn compare_with_baseline(current: f64, baseline: f64, max_drop: f64) -> Verdict {
+    verdict(
+        current >= (1.0 - max_drop) * baseline,
+        "regression beyond budget",
+        format!(
+            "hybrid host_words_per_s: current {current:.0}, baseline {baseline:.0} \
+             ({:+.1}% vs baseline, budget -{:.0}%)",
+            (current / baseline - 1.0) * 100.0,
+            max_drop * 100.0
+        ),
+    )
+}
+
+/// Reads the hybrid host words/s out of a baseline bench document, of
+/// either schema version. `Err` says why the text is not a usable
+/// baseline: it is not JSON, or it holds no positive numeric
+/// `hybrid.host_words_per_s`.
+pub fn baseline_words_per_s(text: &str) -> Result<f64, String> {
+    json::parse(text)
+        .map_err(|e| e.to_string())?
+        .get("hybrid")
+        .and_then(|h| h.get("host_words_per_s"))
+        .and_then(json::Value::as_f64)
+        .filter(|wps| wps.is_finite() && *wps > 0.0)
+        .ok_or_else(|| "holds no positive numeric hybrid.host_words_per_s".to_string())
+}
+
+/// Draws `words` numbers from a fresh [`HybridPrng::tesla`] session in
+/// full batches, with the quality tap attached at 1-in-`sample_every`
+/// when given. Returns the draws' wall time in seconds and the session's
+/// telemetry.
+fn hybrid_run(seed: u64, words: usize, sample_every: Option<u64>) -> (f64, Recorder) {
     let mut prng = HybridPrng::tesla(seed);
     let threads = prng.params().batch_size.max(1) as usize * 64;
     let mut session = prng
@@ -43,6 +135,7 @@ pub fn generate_stage_ns(seed: u64, words: usize, sample_every: Option<u64>) -> 
         let handle = MonitorHandle::new(MonitorConfig::sampling(every));
         session.set_tap(handle.tap());
     }
+    let wall = Instant::now();
     let mut remaining = words.max(1);
     while remaining > 0 {
         let take = remaining.min(threads);
@@ -51,7 +144,17 @@ pub fn generate_stage_ns(seed: u64, words: usize, sample_every: Option<u64>) -> 
             .expect("take is within the session's walks");
         remaining -= take;
     }
-    let recorder = session.take_telemetry();
+    (wall.elapsed().as_secs_f64(), session.take_telemetry())
+}
+
+/// Sums the GENERATE-stage span time of one session run, with the
+/// quality tap attached at 1-in-`sample_every` when given.
+///
+/// This is the denominator of the monitor-overhead acceptance check: the
+/// tap runs in its own `monitor_tap` span *after* each GENERATE span, so
+/// any regression seen here is pipeline interference, not tap time.
+pub fn generate_stage_ns(seed: u64, words: usize, sample_every: Option<u64>) -> f64 {
+    let (_, recorder) = hybrid_run(seed, words, sample_every);
     recorder
         .spans()
         .iter()
@@ -74,153 +177,11 @@ pub fn measure_monitor_overhead(seed: u64, words: usize, sample_every: u64) -> (
     (best(None), best(Some(sample_every)))
 }
 
-/// Host words/s of one engine configuration over `words` numbers.
-fn engine_words_per_s<B: Backend>(mut engine: Engine<B>, threads: usize, words: usize) -> f64 {
-    engine
-        .initialize(threads)
-        .expect("threads is positive by construction");
-    let wall = Instant::now();
-    let mut remaining = words;
-    while remaining > 0 {
-        let take = remaining.min(threads);
-        std::hint::black_box(
-            engine
-                .try_next_batch(take)
-                .expect("take is within the engine's walks"),
-        );
-        remaining -= take;
-    }
-    words as f64 / wall.elapsed().as_secs_f64().max(1e-12)
-}
-
-/// Benchmarks the engine on both backends and reports host words/s for
-/// each.
-pub fn engine_bench(seed: u64, words: usize) -> json::Value {
-    let params = hprng_core::HybridParams::default();
-    let threads = params.batch_size.max(1) as usize * 64;
-    let device = Device::new(DeviceConfig::tesla_c1060());
-    let feed = || Box::new(GlibcFeed::from_master_seed(seed));
-    let rates = [
-        (
-            "gpu-sim",
-            engine_words_per_s(
-                Engine::new(DeviceBackend::new(&device, params), feed()),
-                threads,
-                words,
-            ),
-        ),
-        (
-            "cpu-threads",
-            engine_words_per_s(Engine::new(CpuBackend::new(params), feed()), threads, words),
-        ),
-    ];
-    let mut backends = Vec::new();
-    for (backend, wps) in rates {
-        let mut entry = json::Value::object();
-        entry.set("backend", json::Value::String(backend.to_string()));
-        entry.set("words_per_s", json::Value::Number(wps));
-        backends.push(entry);
-    }
-    let mut obj = json::Value::object();
-    obj.set("backends", json::Value::Array(backends));
-    obj
-}
-
-/// FNV-1a over little-endian words: the repo's golden-hash idiom, used to
-/// assert the rank streams agree across the sweep.
-fn fnv(data: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in data {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-/// One `apps.listrank` row: ranks `list` over `engine`, one lane per
-/// node, timing the engine's initialization and the ranking.
-fn listrank_row<B: Backend>(
-    backend: &str,
-    mut engine: Engine<B>,
-    list: &hprng_listrank::LinkedList,
-) -> json::Value {
-    let wall = Instant::now();
-    engine
-        .initialize(list.len())
-        .expect("the list is not empty");
-    let (ranks, red) = hprng_listrank::rank_on_session(list, &mut engine);
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let mut entry = json::Value::object();
-    entry.set("app", json::Value::String("listrank".to_string()));
-    entry.set("backend", json::Value::String(backend.to_string()));
-    entry.set("wall_ms", json::Value::Number(wall_ms));
-    entry.set("iterations", json::Value::Number(red.iterations as f64));
-    entry.set(
-        "feed_words",
-        json::Value::Number(engine.stats().feed_words as f64),
-    );
-    entry.set(
-        "ranks_fnv",
-        json::Value::String(format!("{:#018x}", fnv(ranks.iter().map(|&r| r as u64)))),
-    );
-    entry
-}
-
-/// Benchmarks both applications over the unified on-demand contract:
-/// list ranking on both engine backends (the ranks hash is reported so
-/// regression dashboards can assert the backends agree bit for bit),
-/// photon migration over [`ExpanderLanes`].
-pub fn apps_bench(seed: u64) -> json::Value {
-    use hprng_listrank::LinkedList;
-    use hprng_montecarlo::{run_simulation_on, RandomSupply, SimConfig, Tissue};
-
-    let n = 4_000;
-    let list = LinkedList::random(n, &mut SplitMix64::new(seed));
-    let params = hprng_core::HybridParams::default();
-    let device = Device::new(DeviceConfig::tesla_c1060());
-    let feed = || Box::new(GlibcFeed::from_master_seed(seed));
-    let listrank_rows = vec![
-        listrank_row(
-            "gpu-sim",
-            Engine::new(DeviceBackend::new(&device, params), feed()),
-            &list,
-        ),
-        listrank_row(
-            "cpu-threads",
-            Engine::new(CpuBackend::new(params), feed()),
-            &list,
-        ),
-    ];
-
-    let tissue = Tissue::three_layer();
-    let cfg = SimConfig {
-        seed,
-        supply: RandomSupply::InlineHybrid,
-        chunk_size: 1024,
-        grid: None,
-    };
-    let out = run_simulation_on(&tissue, 20_000, &cfg, &ExpanderLanes::new(seed));
-    let mut montecarlo = json::Value::object();
-    montecarlo.set("app", json::Value::String("montecarlo".to_string()));
-    montecarlo.set("lanes", json::Value::String("expander-lanes".to_string()));
-    montecarlo.set(
-        "photons_per_s",
-        json::Value::Number(out.photons as f64 / (out.wall_ns / 1e9).max(1e-12)),
-    );
-    montecarlo.set("randoms_used", json::Value::Number(out.randoms_used as f64));
-    montecarlo.set("clashes", json::Value::Number(out.clashes as f64));
-
-    let mut obj = json::Value::object();
-    obj.set("listrank", json::Value::Array(listrank_rows));
-    obj.set("montecarlo", json::Value::Array(vec![montecarlo]));
-    obj
-}
-
 /// Benchmarks the serving layer: a sharded [`hprng_pool::Pool`] (one
 /// shard per available CPU) against a single shared-mutex engine, swept
-/// over concurrent consumer counts from 1 to twice the core count.
+/// over concurrent consumer counts from 1 to twice the core count. The
+/// verdict gates the last row, at twice the core count: the pool must
+/// serve at least `shards / 2` times the mutex rate there.
 ///
 /// Both sides serve the same generator (an `Engine<CpuBackend>` with 64
 /// walks per consumer stream) so the comparison isolates the serving
@@ -228,7 +189,7 @@ pub fn apps_bench(seed: u64) -> json::Value {
 /// sharded workers with double-buffered prefetch. The sweep self-scales
 /// from `std::thread::available_parallelism`, so the document is
 /// meaningful on any host.
-pub fn pool_bench(seed: u64, words: usize) -> json::Value {
+pub fn pool_bench(seed: u64, words: usize) -> (json::Value, Verdict) {
     use hprng_pool::{Pool, SessionKind};
     use std::sync::Mutex;
 
@@ -305,81 +266,24 @@ pub fn pool_bench(seed: u64, words: usize) -> json::Value {
         (per_consumer * consumers) as f64 / wall.elapsed().as_secs_f64().max(1e-12)
     };
 
-    let mut rows = Vec::new();
-    let mut gate = json::Value::object();
+    let mut sweep = Vec::new();
+    let mut last = (0.0, 0.0);
     for consumers in 1..=(2 * cores) {
-        let pool_wps = pool_words_per_s(consumers);
-        let mutex_wps = mutex_words_per_s(consumers);
+        last = (pool_words_per_s(consumers), mutex_words_per_s(consumers));
         let mut row = json::Value::object();
-        row.set("consumers", json::Value::Number(consumers as f64));
-        row.set("pool_words_per_s", json::Value::Number(pool_wps));
-        row.set("mutex_words_per_s", json::Value::Number(mutex_wps));
-        row.set(
-            "speedup",
-            json::Value::Number(pool_wps / mutex_wps.max(1e-12)),
-        );
-        if consumers == 2 * cores {
-            // The acceptance floor: at 2× core-count consumers the pool
-            // must reach at least shards/2 of the shared-engine rate.
-            gate.set("consumers", json::Value::Number(consumers as f64));
-            gate.set("pool_words_per_s", json::Value::Number(pool_wps));
-            gate.set("baseline_words_per_s", json::Value::Number(mutex_wps));
-            gate.set("speedup_floor", json::Value::Number(shards as f64 / 2.0));
-            gate.set(
-                "passed",
-                json::Value::Bool(pool_wps >= (shards as f64 / 2.0) * mutex_wps),
-            );
-        }
-        rows.push(row);
+        row.set("consumers", consumers.into());
+        row.set("pool_words_per_s", last.0.into());
+        row.set("mutex_words_per_s", last.1.into());
+        sweep.push(row);
     }
 
     let mut obj = json::Value::object();
-    obj.set("cores", json::Value::Number(cores as f64));
-    obj.set("shards", json::Value::Number(shards as f64));
-    obj.set("session_lanes", json::Value::Number(LANES as f64));
-    obj.set("sweep", json::Value::Array(rows));
-    obj.set("gate", gate);
-    obj
-}
-
-/// Checks the pool throughput gate of a bench document (the `pool.gate`
-/// object [`pool_bench`] writes): `Ok(summary)` when the pool met its
-/// speedup floor at 2× core-count consumers, `Err(explanation)` when it
-/// missed the floor or the document carries no well-formed gate.
-///
-/// `repro bench --pool` exits non-zero on `Err`, so the CI pool job
-/// actually fails on a serving-layer regression instead of just
-/// recording one.
-pub fn pool_gate(doc: &json::Value) -> Result<String, String> {
-    let gate = doc
-        .get("pool")
-        .and_then(|p| p.get("gate"))
-        .ok_or("document has no pool.gate (was the sweep run with --pool?)")?;
-    let num = |key: &str| -> Result<f64, String> {
-        gate.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("pool.gate has no numeric {key}"))
-    };
-    let consumers = num("consumers")?;
-    let pool_wps = num("pool_words_per_s")?;
-    let base_wps = num("baseline_words_per_s")?;
-    let floor = num("speedup_floor")?;
-    let passed = match gate.get("passed") {
-        Some(json::Value::Bool(b)) => *b,
-        _ => return Err("pool.gate has no boolean passed".to_string()),
-    };
-    let summary = format!(
-        "pool at {consumers:.0} consumers: {pool_wps:.0} words/s vs shared-mutex {base_wps:.0} \
-         ({:.2}x, floor {floor:.1}x)",
-        pool_wps / base_wps.max(1e-12)
-    );
-    if passed {
-        Ok(summary)
-    } else {
-        Err(format!(
-            "pool throughput below its speedup floor — {summary}"
-        ))
-    }
+    obj.set("cores", cores.into());
+    obj.set("shards", shards.into());
+    obj.set("session_lanes", LANES.into());
+    obj.set("speedup_floor", (shards as f64 / 2.0).into());
+    obj.set("sweep", json::Value::Array(sweep));
+    (obj, pool_verdict(2 * cores, shards, last.0, last.1))
 }
 
 /// The `q`-quantile of `values`, interpolated between the two nearest
@@ -400,16 +304,14 @@ fn quantile(values: &[f64], q: f64) -> f64 {
 /// traced run, and the side that runs first alternates from pair to
 /// pair, so a host whose speed drifts during the measurement moves both
 /// sides alike. The gated overhead is the median of the per-pair
-/// overheads `1 - on/off`, clamped at zero, against the 5% budget the
-/// observability acceptance criteria set. The returned object carries
-/// both sides' median throughputs, the gated overhead with the quartiles
-/// of the per-pair overheads, and a `passed` flag.
-pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> json::Value {
+/// overheads `1 - on/off`, clamped at zero, and the verdict holds it to
+/// 5%. The returned object carries both sides' median throughputs and
+/// the gated overhead with the quartiles of the per-pair overheads.
+pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> (json::Value, Verdict) {
     use hprng_pool::Pool;
 
     const REQUEST: usize = 4096;
     const PAIRS: usize = 10;
-    const MAX_OVERHEAD: f64 = 0.05;
     let words = words.max(1 << 20);
     let sample_every = sample_every.max(1);
 
@@ -452,25 +354,19 @@ pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> json::Value
         .map(|(off, on)| 1.0 - on / off.max(1e-12))
         .collect();
     let overhead = quantile(&overheads, 0.5).max(0.0);
+    let (off, on) = (quantile(&off, 0.5), quantile(&on, 0.5));
 
     let mut obj = json::Value::object();
-    obj.set("words", json::Value::Number(words as f64));
-    obj.set("sample_every", json::Value::Number(sample_every as f64));
-    obj.set("pairs", json::Value::Number(PAIRS as f64));
-    obj.set("off_words_per_s", json::Value::Number(quantile(&off, 0.5)));
-    obj.set("on_words_per_s", json::Value::Number(quantile(&on, 0.5)));
-    obj.set("overhead_fraction", json::Value::Number(overhead));
-    obj.set(
-        "overhead_q1",
-        json::Value::Number(quantile(&overheads, 0.25)),
-    );
-    obj.set(
-        "overhead_q3",
-        json::Value::Number(quantile(&overheads, 0.75)),
-    );
-    obj.set("max_overhead", json::Value::Number(MAX_OVERHEAD));
-    obj.set("passed", json::Value::Bool(overhead <= MAX_OVERHEAD));
-    obj
+    obj.set("words", words.into());
+    obj.set("sample_every", sample_every.into());
+    obj.set("pairs", PAIRS.into());
+    obj.set("off_words_per_s", off.into());
+    obj.set("on_words_per_s", on.into());
+    obj.set("overhead_fraction", overhead.into());
+    obj.set("overhead_q1", quantile(&overheads, 0.25).into());
+    obj.set("overhead_q3", quantile(&overheads, 0.75).into());
+    obj.set("max_overhead", MAX_TRACING_OVERHEAD.into());
+    (obj, tracing_verdict(sample_every, off, on, overhead))
 }
 
 /// Measures the checkpoint/restore round trip on both resumable paths:
@@ -481,39 +377,26 @@ pub fn pool_obs_bench(seed: u64, words: usize, sample_every: u64) -> json::Value
 ///
 /// Failover re-runs this round trip on the request path — a client that
 /// loses its shard checkpoints, reattaches, and serves its next word off
-/// the resumed session — so the cost is gated, not just recorded: each
-/// path's p99 must come in under the 1 ms budget or [`checkpoint_gate`]
-/// fails the run.
-pub fn checkpoint_bench(seed: u64, iters: usize) -> json::Value {
+/// the resumed session — so the cost is gated, not just recorded: the
+/// verdict holds each path's p99 (interpolated between ranks) to 1 ms.
+pub fn checkpoint_bench(seed: u64, iters: usize) -> (json::Value, Verdict) {
     use hprng_core::StreamState;
     use hprng_pool::Pool;
 
-    const BUDGET_NS: f64 = 1_000_000.0; // 1 ms per round trip, at p99
     const POSITION: usize = 4096; // words served before the first checkpoint
     let iters = iters.clamp(16, 4096);
 
-    let quantile = |sorted: &[u64], q: f64| -> f64 {
-        match sorted.len() {
-            0 => 0.0,
-            n => sorted[(((n - 1) as f64) * q).round() as usize] as f64,
-        }
-    };
-    let mut passed = true;
+    let mut p99s = Vec::new();
     let mut rows = Vec::new();
-    let mut row = |name: &str, mut samples: Vec<u64>| {
-        samples.sort_unstable();
+    let mut row = |name: &'static str, samples: Vec<f64>| {
         let p99 = quantile(&samples, 0.99);
-        passed &= p99 <= BUDGET_NS;
+        p99s.push((name, p99));
         let mut obj = json::Value::object();
-        obj.set("name", json::Value::String(name.to_string()));
-        obj.set("iterations", json::Value::Number(samples.len() as f64));
-        obj.set("p50_ns", json::Value::Number(quantile(&samples, 0.50)));
-        obj.set("p90_ns", json::Value::Number(quantile(&samples, 0.90)));
-        obj.set("p99_ns", json::Value::Number(p99));
-        obj.set(
-            "max_ns",
-            json::Value::Number(samples.last().copied().unwrap_or(0) as f64),
-        );
+        obj.set("name", name.into());
+        obj.set("iterations", samples.len().into());
+        obj.set("p50_ns", quantile(&samples, 0.50).into());
+        obj.set("p99_ns", p99.into());
+        obj.set("max_ns", quantile(&samples, 1.0).into());
         rows.push(obj);
     };
 
@@ -530,7 +413,7 @@ pub fn checkpoint_bench(seed: u64, iters: usize) -> json::Value {
         let text = state.to_json();
         let parsed = StreamState::from_json(&text).expect("state round-trips");
         std::hint::black_box(ExpanderWalkRng::resume(&parsed).expect("state resumes"));
-        expander_ns.push(start.elapsed().as_nanos() as u64);
+        expander_ns.push(start.elapsed().as_nanos() as f64);
         rng.next_u64(); // walk the position forward between iterations
     }
     row("expander_rich_json", expander_ns);
@@ -566,7 +449,7 @@ pub fn checkpoint_bench(seed: u64, iters: usize) -> json::Value {
         resumed.fill_words(&mut one).expect("resumed stream serves");
         std::hint::black_box(&one);
         if lap >= WARMUP {
-            failover_ns.push(start.elapsed().as_nanos() as u64);
+            failover_ns.push(start.elapsed().as_nanos() as f64);
         }
         drop(resumed); // release the id on the standby for the next lap
     }
@@ -575,255 +458,50 @@ pub fn checkpoint_bench(seed: u64, iters: usize) -> json::Value {
     standby.shutdown();
 
     let mut obj = json::Value::object();
-    obj.set("budget_ns", json::Value::Number(BUDGET_NS));
+    obj.set("budget_ns", CHECKPOINT_BUDGET_NS.into());
     obj.set("paths", json::Value::Array(rows));
-    obj.set("passed", json::Value::Bool(passed));
-    obj
+    (obj, checkpoint_verdict(&p99s))
 }
 
-/// Checks the checkpoint-cost gate of a bench document (the `checkpoint`
-/// object [`checkpoint_bench`] writes): `Ok(summary)` when every
-/// measured path's p99 round trip fit the 1 ms budget, `Err(explanation)`
-/// on a miss or a document without the measurement.
-pub fn checkpoint_gate(doc: &json::Value) -> Result<String, String> {
-    let bench = doc
-        .get("checkpoint")
-        .ok_or("document has no checkpoint section (was the bench run with --pool?)")?;
-    let budget = bench
-        .get("budget_ns")
-        .and_then(|v| v.as_f64())
-        .ok_or("checkpoint has no numeric budget_ns")?;
-    let paths = bench
-        .get("paths")
-        .and_then(|p| p.as_array())
-        .filter(|p| !p.is_empty())
-        .ok_or("checkpoint has no paths array")?;
-    let passed = match bench.get("passed") {
-        Some(json::Value::Bool(b)) => *b,
-        _ => return Err("checkpoint has no boolean passed".to_string()),
-    };
-    let mut parts = Vec::new();
-    for path in paths {
-        let name = path
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or("checkpoint path has no name")?;
-        let p99 = path
-            .get("p99_ns")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("checkpoint path {name} has no numeric p99_ns"))?;
-        parts.push(format!("{name} p99 {:.1}us", p99 / 1e3));
-    }
-    let summary = format!(
-        "checkpoint+restore round trips ({}) within the {:.0} ms budget",
-        parts.join(", "),
-        budget / 1e6
-    );
-    if passed {
-        Ok(summary)
-    } else {
-        Err(format!(
-            "checkpoint round trip beyond its budget — {summary}"
-        ))
-    }
-}
-
-/// Checks the tracing-overhead gate of a bench document (the
-/// `pool_observability` object [`pool_obs_bench`] writes): `Ok(summary)`
-/// when tracing at the default sampling cost less than its budget,
-/// `Err(explanation)` on a miss or a document without the measurement.
-pub fn pool_obs_gate(doc: &json::Value) -> Result<String, String> {
-    let obs = doc
-        .get("pool_observability")
-        .ok_or("document has no pool_observability (was the sweep run with --pool?)")?;
-    let num = |key: &str| -> Result<f64, String> {
-        obs.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("pool_observability has no numeric {key}"))
-    };
-    let every = num("sample_every")?;
-    let off = num("off_words_per_s")?;
-    let on = num("on_words_per_s")?;
-    let overhead = num("overhead_fraction")?;
-    let budget = num("max_overhead")?;
-    let passed = match obs.get("passed") {
-        Some(json::Value::Bool(b)) => *b,
-        _ => return Err("pool_observability has no boolean passed".to_string()),
-    };
-    let summary = format!(
-        "pool tracing at 1-in-{every:.0}: {on:.0} words/s vs {off:.0} untraced \
-         ({:.1}% overhead, budget {:.0}%)",
-        overhead * 100.0,
-        budget * 100.0
-    );
-    if passed {
-        Ok(summary)
-    } else {
-        Err(format!("tracing overhead beyond its budget — {summary}"))
-    }
-}
-
-/// Compares a current bench document against a baseline one: the hybrid
-/// pipeline's `host_words_per_s` may not drop by more than `max_drop`
-/// (a fraction, e.g. `0.2` for 20%).
+/// Runs every budget and returns the benchmark document with one verdict
+/// per budget, in order: the pool speedup floor, the tracing overhead,
+/// the checkpoint round trip and, when a `baseline` rate is given, the
+/// hybrid host words/s drop of at most `max_drop`.
 ///
-/// Returns `Ok(summary)` when within budget and `Err(explanation)` on a
-/// regression or on documents missing the metric.
-pub fn compare_with_baseline(
-    current: &json::Value,
-    baseline: &json::Value,
+/// The hybrid pipeline draws `words` numbers, and the pool sweep and the
+/// tracing pairs at least that many. The document is
+/// `{schema, seed, words, hybrid: {host_words_per_s}, pool,
+/// pool_observability, checkpoint}`, so it can serve as a later run's
+/// baseline.
+pub fn bench_json(
+    seed: u64,
+    words: usize,
+    sample_every: u64,
+    baseline: Option<f64>,
     max_drop: f64,
-) -> Result<String, String> {
-    let metric = |doc: &json::Value, which: &str| -> Result<f64, String> {
-        doc.get("hybrid")
-            .and_then(|h| h.get("host_words_per_s"))
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{which} document has no hybrid.host_words_per_s"))
-    };
-    let cur = metric(current, "current")?;
-    let base = metric(baseline, "baseline")?;
-    if base <= 0.0 {
-        return Err(format!("baseline hybrid.host_words_per_s is {base}"));
-    }
-    let drop = 1.0 - cur / base;
-    let summary = format!(
-        "hybrid host_words_per_s: current {cur:.0}, baseline {base:.0} ({:+.1}% vs baseline, budget -{:.0}%)",
-        -drop * 100.0,
-        max_drop * 100.0
-    );
-    if drop > max_drop {
-        Err(format!("regression beyond budget — {summary}"))
-    } else {
-        Ok(summary)
-    }
-}
-
-fn quantiles_json(recorder: &Recorder, name: &str) -> json::Value {
-    let mut obj = json::Value::object();
-    if let Some(h) = recorder.histogram(name) {
-        obj.set("count", json::Value::Number(h.count() as f64));
-        obj.set("mean_ns", json::Value::Number(h.mean_ns()));
-        obj.set("min_ns", json::Value::Number(h.min_ns()));
-        obj.set("max_ns", json::Value::Number(h.max_ns()));
-        obj.set("p50_ns", json::Value::Number(h.quantile_ns(0.50)));
-        obj.set("p90_ns", json::Value::Number(h.quantile_ns(0.90)));
-        obj.set("p99_ns", json::Value::Number(h.quantile_ns(0.99)));
-    }
-    obj
-}
-
-/// Runs the benchmark suite and returns the JSON document.
-pub fn bench_json(seed: u64, words: usize) -> json::Value {
+) -> (json::Value, Vec<Verdict>) {
     let words = words.max(1);
-
-    // Host throughput of every sequential generator.
-    let mut generators = Vec::new();
-    let mut push = |name: &str, wps: f64| {
-        let mut g = json::Value::object();
-        g.set("name", json::Value::String(name.to_string()));
-        g.set("words_per_s", json::Value::Number(wps));
-        generators.push(g);
-    };
-    let mut expander = ExpanderWalkRng::from_seed_u64(seed);
-    push("expander_walk", words_per_s(|| expander.next_u64(), words));
-    let mut mt64 = Mt19937_64::new(seed);
-    push("mt19937_64", words_per_s(|| mt64.next_u64(), words));
-    let mut mt = Mt19937::new(seed as u32 | 1);
-    push("mt19937", words_per_s(|| mt.next_u64(), words));
-    let mut sm = SplitMix64::new(seed);
-    push("splitmix64", words_per_s(|| sm.next_u64(), words));
-    let mut mwc = Mwc64::new(seed);
-    push("mwc64", words_per_s(|| mwc.next_u64(), words));
-    let mut kiss = Kiss::new(seed);
-    push("kiss", words_per_s(|| kiss.next_u64(), words));
-    let mut xw = Xorwow::new(seed);
-    push("xorwow", words_per_s(|| xw.next_u64(), words));
-    let cpu = ExpanderLanes::new(seed);
-    push("cpu_parallel", {
-        let start = Instant::now();
-        let mut produced = 0usize;
-        while produced < words {
-            let take = (words - produced).min(65_536);
-            let mut out = vec![0u64; take];
-            cpu.fill(&mut out, rayon::current_num_threads())
-                .expect("rayon runs at least one thread");
-            std::hint::black_box(out);
-            produced += take;
-        }
-        words as f64 / start.elapsed().as_secs_f64().max(1e-12)
-    });
-
-    // Hybrid pipeline: host wall, simulated throughput, batch-latency
-    // quantiles, busy fractions.
-    let mut hybrid = HybridPrng::tesla(seed);
-    let threads = hybrid.params().batch_size.max(1) as usize * 64;
-    let mut session = hybrid
-        .try_session(threads)
-        .expect("threads is positive by construction");
-    let wall = Instant::now();
-    let mut remaining = words;
-    while remaining > 0 {
-        let take = remaining.min(threads);
-        session
-            .try_next_batch(take)
-            .expect("take is within the session's walks");
-        remaining -= take;
-    }
-    let host_secs = wall.elapsed().as_secs_f64().max(1e-12);
-    let stats = session.stats();
-    let timeline = session.timeline();
-    let recorder = session.take_telemetry();
-
-    let mut hybrid_obj = json::Value::object();
-    hybrid_obj.set(
-        "host_words_per_s",
-        json::Value::Number(words as f64 / host_secs),
-    );
-    hybrid_obj.set(
-        "sim_gnumbers_per_s",
-        json::Value::Number(stats.gnumbers_per_s),
-    );
-    hybrid_obj.set(
-        "batch_latency",
-        quantiles_json(&recorder, "batch_latency_ns"),
-    );
-    let trace = chrome_trace(Some(&timeline), Some(&recorder));
-    if let Ok(busy) = busy_fractions(&trace) {
-        let mut b = json::Value::object();
-        b.set("cpu", json::Value::Number(busy.cpu));
-        b.set("gpu", json::Value::Number(busy.gpu));
-        hybrid_obj.set("busy_fractions", b);
+    let (secs, _) = hybrid_run(seed, words, None);
+    let host_words_per_s = words as f64 / secs.max(1e-12);
+    let (pool, floor) = pool_bench(seed, words);
+    let (observability, overhead) = pool_obs_bench(seed, words, sample_every);
+    let (checkpoint, round_trip) = checkpoint_bench(seed, 256);
+    let mut verdicts = vec![floor, overhead, round_trip];
+    if let Some(baseline) = baseline {
+        verdicts.push(compare_with_baseline(host_words_per_s, baseline, max_drop));
     }
 
-    // Monitor-tap overhead at the default 1-in-64 sampling.
-    let (off_ns, on_ns) = measure_monitor_overhead(seed, words.min(1 << 20), 64);
-    let mut overhead = json::Value::object();
-    overhead.set("sample_every", json::Value::Number(64.0));
-    overhead.set("generate_ns_monitor_off", json::Value::Number(off_ns));
-    overhead.set("generate_ns_monitor_on", json::Value::Number(on_ns));
-    overhead.set(
-        "generate_overhead_fraction",
-        json::Value::Number((on_ns - off_ns).max(0.0) / off_ns.max(1.0)),
-    );
-
+    let mut hybrid = json::Value::object();
+    hybrid.set("host_words_per_s", host_words_per_s.into());
     let mut doc = json::Value::object();
-    doc.set("schema", json::Value::String("hprng-bench-v1".to_string()));
-    doc.set("seed", json::Value::Number(seed as f64));
-    doc.set("words", json::Value::Number(words as f64));
-    doc.set("generators", json::Value::Array(generators));
-    doc.set("hybrid", hybrid_obj);
-    doc.set("engine", engine_bench(seed, words));
-    doc.set("apps", apps_bench(seed));
-    doc.set("monitor_overhead", overhead);
-    doc
-}
-
-/// Runs [`bench_json`] and writes the document to `path`; returns the
-/// serialized length in bytes.
-pub fn write_bench_json(path: &std::path::Path, seed: u64, words: usize) -> std::io::Result<usize> {
-    let text = bench_json(seed, words).to_json();
-    std::fs::write(path, &text)?;
-    Ok(text.len())
+    doc.set("schema", SCHEMA.into());
+    doc.set("seed", seed.into());
+    doc.set("words", words.into());
+    doc.set("hybrid", hybrid);
+    doc.set("pool", pool);
+    doc.set("pool_observability", observability);
+    doc.set("checkpoint", checkpoint);
+    (doc, verdicts)
 }
 
 #[cfg(test)]
@@ -832,33 +510,34 @@ mod tests {
 
     #[test]
     fn bench_json_has_every_section() {
-        let doc = bench_json(3, 50_000);
-        let text = doc.to_json();
-        let parsed = json::parse(&text).expect("self-parseable");
-        let gens = parsed.get("generators").and_then(|g| g.as_array()).unwrap();
-        assert!(gens.len() >= 8);
-        for g in gens {
-            assert!(g.get("words_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0);
-        }
-        let hybrid = parsed.get("hybrid").unwrap();
-        assert!(
-            hybrid
-                .get("batch_latency")
-                .and_then(|b| b.get("count"))
-                .and_then(|v| v.as_f64())
-                .unwrap()
-                > 0.0
+        let (doc, verdicts) = bench_json(3, 50_000, 64, Some(1.0), 0.2);
+        let parsed = json::parse(&doc.to_json()).expect("self-parseable");
+        let json::Value::Object(sections) = &parsed else {
+            panic!("the document is an object: {parsed:?}");
+        };
+        let keys: Vec<&str> = sections.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "checkpoint",
+                "hybrid",
+                "pool",
+                "pool_observability",
+                "schema",
+                "seed",
+                "words"
+            ]
         );
-        let busy = hybrid.get("busy_fractions").unwrap();
-        assert!(busy.get("cpu").and_then(|v| v.as_f64()).unwrap() > 0.0);
-        let overhead = parsed.get("monitor_overhead").unwrap();
-        assert!(
-            overhead
-                .get("generate_ns_monitor_off")
-                .and_then(|v| v.as_f64())
-                .unwrap()
-                > 0.0
-        );
+        assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
+        let json::Value::Object(hybrid) = parsed.get("hybrid").unwrap() else {
+            panic!("hybrid is an object");
+        };
+        assert_eq!(hybrid.keys().collect::<Vec<_>>(), ["host_words_per_s"]);
+        // The document is a usable baseline for a later run.
+        assert!(baseline_words_per_s(&doc.to_json()).unwrap() > 0.0);
+        // Three budgets, plus the baseline comparison when given one.
+        assert_eq!(verdicts.len(), 4);
+        assert_eq!(bench_json(3, 50_000, 64, None, 0.2).1.len(), 3);
     }
 
     #[test]
@@ -868,90 +547,28 @@ mod tests {
     }
 
     #[test]
-    fn engine_bench_covers_both_backends() {
-        let doc = engine_bench(3, 20_000);
-        let backends = doc.get("backends").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(backends.len(), 2);
-        for entry in backends {
-            assert!(
-                entry.get("words_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0,
-                "zero throughput in {entry:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn apps_sweep_ranks_are_bit_identical_across_backends() {
-        let doc = apps_bench(3);
-        let rows = doc.get("listrank").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(rows.len(), 2); // one per backend
-        let hashes: Vec<&str> = rows
-            .iter()
-            .map(|r| r.get("ranks_fnv").and_then(|v| v.as_str()).unwrap())
-            .collect();
-        assert!(
-            hashes.iter().all(|&h| h == hashes[0]),
-            "rank hashes diverge across the sweep: {hashes:?}"
-        );
-        let mc = doc.get("montecarlo").and_then(|m| m.as_array()).unwrap();
-        assert_eq!(mc.len(), 1);
-        for row in mc {
-            assert!(row.get("photons_per_s").and_then(|v| v.as_f64()).unwrap() > 0.0);
-        }
-    }
-
-    #[test]
     fn pool_bench_reports_the_sweep_and_its_gate() {
-        let doc = pool_bench(3, 50_000);
+        let (doc, verdict) = pool_bench(3, 50_000);
         let cores = doc.get("cores").and_then(|v| v.as_f64()).unwrap() as usize;
         assert!(cores >= 1);
         let sweep = doc.get("sweep").and_then(|s| s.as_array()).unwrap();
         assert_eq!(sweep.len(), 2 * cores);
         for row in sweep {
-            assert!(
-                row.get("pool_words_per_s")
-                    .and_then(|v| v.as_f64())
-                    .unwrap()
-                    > 0.0
-            );
-            assert!(
-                row.get("mutex_words_per_s")
-                    .and_then(|v| v.as_f64())
-                    .unwrap()
-                    > 0.0
-            );
+            for key in ["pool_words_per_s", "mutex_words_per_s"] {
+                assert!(row.get(key).and_then(|v| v.as_f64()).unwrap() > 0.0);
+            }
         }
-        let gate = doc.get("gate").unwrap();
-        assert_eq!(
-            gate.get("consumers").and_then(|v| v.as_f64()).unwrap(),
-            (2 * cores) as f64
+        // The verdict reads the last row, at twice the core count.
+        let summary = verdict.unwrap_or_else(|reason| reason);
+        assert!(
+            summary.contains(&format!("at {} consumers", 2 * cores)),
+            "{summary}"
         );
-        assert!(matches!(gate.get("passed"), Some(json::Value::Bool(_))));
-    }
-
-    #[test]
-    fn pool_gate_enforces_the_passed_flag() {
-        let doc = |passed: bool| {
-            json::parse(&format!(
-                r#"{{"pool": {{"gate": {{"consumers": 8, "pool_words_per_s": 4000.0,
-                    "baseline_words_per_s": 1000.0, "speedup_floor": 2.0,
-                    "passed": {passed}}}}}}}"#
-            ))
-            .unwrap()
-        };
-        let summary = pool_gate(&doc(true)).unwrap();
-        assert!(summary.contains("8 consumers"), "{summary}");
-        let reason = pool_gate(&doc(false)).unwrap_err();
-        assert!(reason.contains("below its speedup floor"), "{reason}");
-        // A document without the sweep (or with a mangled gate) is an
-        // error, not a silent pass.
-        assert!(pool_gate(&json::parse("{}").unwrap()).is_err());
-        assert!(pool_gate(&json::parse(r#"{"pool": {"gate": {}}}"#).unwrap()).is_err());
     }
 
     #[test]
     fn checkpoint_bench_reports_both_paths_with_quantiles() {
-        let doc = checkpoint_bench(3, 16);
+        let (doc, _) = checkpoint_bench(3, 16);
         let paths = doc.get("paths").and_then(|p| p.as_array()).unwrap();
         assert_eq!(paths.len(), 2);
         for path in paths {
@@ -963,38 +580,11 @@ mod tests {
             assert!(p99 >= p50, "{name} quantiles out of order");
             assert!(max >= p99, "{name} max below p99");
         }
-        assert!(matches!(doc.get("passed"), Some(json::Value::Bool(_))));
-    }
-
-    #[test]
-    fn checkpoint_gate_enforces_the_passed_flag() {
-        let doc = |passed: bool| {
-            json::parse(&format!(
-                r#"{{"checkpoint": {{"budget_ns": 1000000.0, "passed": {passed},
-                    "paths": [{{"name": "expander_rich_json", "iterations": 64,
-                                "p50_ns": 1000.0, "p90_ns": 2000.0,
-                                "p99_ns": 3000.0, "max_ns": 4000.0}}]}}}}"#
-            ))
-            .unwrap()
-        };
-        let summary = checkpoint_gate(&doc(true)).unwrap();
-        assert!(summary.contains("expander_rich_json"), "{summary}");
-        let reason = checkpoint_gate(&doc(false)).unwrap_err();
-        assert!(reason.contains("beyond its budget"), "{reason}");
-        // A document without the measurement (or with a mangled one) is
-        // an error, not a silent pass.
-        assert!(checkpoint_gate(&json::parse("{}").unwrap()).is_err());
-        assert!(checkpoint_gate(&json::parse(r#"{"checkpoint": {}}"#).unwrap()).is_err());
-        assert!(checkpoint_gate(
-            &json::parse(r#"{"checkpoint": {"budget_ns": 1.0, "passed": true, "paths": []}}"#)
-                .unwrap()
-        )
-        .is_err());
     }
 
     #[test]
     fn pool_obs_bench_reports_both_sides_of_the_toggle() {
-        let doc = pool_obs_bench(3, 1 << 20, 64);
+        let (doc, _) = pool_obs_bench(3, 1 << 20, 64);
         for key in ["off_words_per_s", "on_words_per_s"] {
             assert!(doc.get(key).and_then(|v| v.as_f64()).unwrap() > 0.0);
         }
@@ -1008,7 +598,6 @@ mod tests {
             q1 <= q3 && overhead <= q3.max(0.0),
             "{q1}..{q3}, {overhead}"
         );
-        assert!(matches!(doc.get("passed"), Some(json::Value::Bool(_))));
     }
 
     #[test]
@@ -1022,40 +611,61 @@ mod tests {
     }
 
     #[test]
-    fn pool_obs_gate_enforces_the_passed_flag() {
-        let doc = |passed: bool| {
-            json::parse(&format!(
-                r#"{{"pool_observability": {{"words": 1048576, "sample_every": 64,
-                    "off_words_per_s": 1000.0, "on_words_per_s": 990.0,
-                    "overhead_fraction": 0.01, "max_overhead": 0.05,
-                    "passed": {passed}}}}}"#
-            ))
-            .unwrap()
-        };
-        let summary = pool_obs_gate(&doc(true)).unwrap();
-        assert!(summary.contains("1-in-64"), "{summary}");
-        let reason = pool_obs_gate(&doc(false)).unwrap_err();
-        assert!(reason.contains("beyond its budget"), "{reason}");
-        // A document without the measurement (or with a mangled one) is
-        // an error, not a silent pass.
-        assert!(pool_obs_gate(&json::parse("{}").unwrap()).is_err());
-        assert!(pool_obs_gate(&json::parse(r#"{"pool_observability": {}}"#).unwrap()).is_err());
+    fn each_verdict_fails_just_past_its_bound_and_passes_just_within() {
+        // (budget, just within its bound, just past it)
+        let cases = [
+            (
+                "pool floor 1x",
+                pool_verdict(4, 2, 1000.0, 1000.0),
+                pool_verdict(4, 2, 999.9, 1000.0),
+            ),
+            (
+                "pool floor 2x",
+                pool_verdict(8, 4, 2000.0, 1000.0),
+                pool_verdict(8, 4, 1999.9, 1000.0),
+            ),
+            (
+                "tracing",
+                tracing_verdict(64, 1000.0, 950.0, 0.05),
+                tracing_verdict(64, 1000.0, 949.9, 0.0501),
+            ),
+            (
+                "checkpoint",
+                checkpoint_verdict(&[("a", 1e3), ("b", 1e6)]),
+                checkpoint_verdict(&[("a", 1e3), ("b", 1e6 + 1.0)]),
+            ),
+            (
+                "baseline",
+                compare_with_baseline(95.0, 100.0, 0.05),
+                compare_with_baseline(94.99, 100.0, 0.05),
+            ),
+        ];
+        for (budget, within, past) in cases {
+            if let Err(reason) = within {
+                panic!("{budget} failed within its bound: {reason}");
+            }
+            let reason = past.expect_err(budget);
+            assert!(
+                reason.contains("below") || reason.contains("beyond"),
+                "{budget}: {reason}"
+            );
+        }
     }
 
     #[test]
-    fn baseline_comparison_flags_regressions_only() {
-        let doc = |wps: f64| {
-            json::parse(&format!(r#"{{"hybrid": {{"host_words_per_s": {wps}}}}}"#)).unwrap()
-        };
-        // Equal, faster, and a small drop all pass a 20% budget.
-        assert!(compare_with_baseline(&doc(100.0), &doc(100.0), 0.2).is_ok());
-        assert!(compare_with_baseline(&doc(150.0), &doc(100.0), 0.2).is_ok());
-        assert!(compare_with_baseline(&doc(85.0), &doc(100.0), 0.2).is_ok());
-        // A 30% drop fails it.
-        assert!(compare_with_baseline(&doc(70.0), &doc(100.0), 0.2).is_err());
-        // Malformed documents are an error, not a silent pass.
-        let empty = json::parse("{}").unwrap();
-        assert!(compare_with_baseline(&empty, &doc(100.0), 0.2).is_err());
-        assert!(compare_with_baseline(&doc(100.0), &empty, 0.2).is_err());
+    fn baselines_must_hold_a_positive_rate() {
+        let v1 = include_str!("../../../BENCH_PR8.json");
+        assert!(baseline_words_per_s(v1).unwrap() > 0.0);
+        for text in [
+            "not json",
+            "{}",
+            r#"{"hybrid": {}}"#,
+            r#"{"hybrid": {"host_words_per_s": "fast"}}"#,
+            r#"{"hybrid": {"host_words_per_s": 0}}"#,
+            r#"{"hybrid": {"host_words_per_s": -5}}"#,
+            r#"{"hybrid": {"host_words_per_s": 1e400}}"#,
+        ] {
+            assert!(baseline_words_per_s(text).is_err(), "{text}");
+        }
     }
 }

@@ -14,19 +14,16 @@
 //! repro headline                      GNumbers/s
 //! repro ablate-walk-len | ablate-bit-source
 //! repro trace                         instrumented run only
-//! repro bench --json-out <path>       machine-readable benchmark export
-//!             [--baseline <path>]     compare against a prior bench JSON;
-//!             [--max-drop <frac>]     fail if hybrid words/s drops by more
-//!                                     than the fraction (default 0.2)
-//!             [--pool]                add the sharded-pool consumer sweep
-//!                                     (pool vs shared-mutex engine), the
-//!                                     tracing-overhead measurement, and
-//!                                     the checkpoint-cost microbench;
-//!                                     fail if the pool misses its
-//!                                     speedup floor, tracing costs more
-//!                                     than its 5% budget, or a
+//! repro bench [--json-out <path>]     run the gated budgets and write
+//!                                     their document; exit 1 if the pool
+//!                                     misses its speedup floor, tracing
+//!                                     costs more than 5% words/s, or a
 //!                                     checkpoint+restore round trip's
 //!                                     p99 exceeds 1 ms
+//!             [--baseline <path>]     also fail if hybrid words/s drops
+//!             [--max-drop <frac>]     below a prior bench JSON's by more
+//!                                     than the fraction in [0, 1)
+//!                                     (default 0.2)
 //! repro monitor [--generator hybrid|pool|mt|glibc-low|constant]
 //!               [--words W] [--sample-every N] [--prom-out <path>]
 //!               [--assert-clean | --assert-alerts]
@@ -98,9 +95,9 @@ struct Args {
     assert_clean: bool,
     assert_alerts: bool,
     prom_out: Option<std::path::PathBuf>,
-    baseline: Option<std::path::PathBuf>,
+    /// The `--baseline` document's hybrid host words/s.
+    baseline: Option<f64>,
     max_drop: f64,
-    pool: bool,
     shards: usize,
     clients: usize,
     schedules: usize,
@@ -156,7 +153,6 @@ fn parse_args() -> Args {
         prom_out: None,
         baseline: None,
         max_drop: 0.2,
-        pool: false,
         shards: 2,
         clients: 4,
         schedules: 64,
@@ -204,9 +200,27 @@ fn parse_args() -> Args {
             "--assert-clean" => args.assert_clean = true,
             "--assert-alerts" => args.assert_alerts = true,
             "--prom-out" => args.prom_out = Some(flag_value(&argv, &mut i, "a path")),
-            "--baseline" => args.baseline = Some(flag_value(&argv, &mut i, "a path")),
-            "--max-drop" => args.max_drop = flag_value(&argv, &mut i, "a fraction"),
-            "--pool" => args.pool = true,
+            "--baseline" => {
+                let path: std::path::PathBuf = flag_value(&argv, &mut i, "a path");
+                let read = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+                match read.and_then(|text| benchjson::baseline_words_per_s(&text)) {
+                    Ok(words_per_s) => args.baseline = Some(words_per_s),
+                    Err(reason) => {
+                        eprintln!("--baseline {}: {reason}", path.display());
+                        std::process::exit(2);
+                    }
+                }
+            }
+            "--max-drop" => {
+                args.max_drop = flag_value(&argv, &mut i, "a fraction in [0, 1)");
+                if !(0.0..1.0).contains(&args.max_drop) {
+                    eprintln!(
+                        "--max-drop takes a fraction in [0, 1), not {}",
+                        args.max_drop
+                    );
+                    std::process::exit(2);
+                }
+            }
             "--shards" => args.shards = flag_value(&argv, &mut i, "an integer"),
             "--clients" => args.clients = flag_value(&argv, &mut i, "an integer"),
             "--schedules" => args.schedules = flag_value(&argv, &mut i, "an integer"),
@@ -293,22 +307,19 @@ fn main() {
         ablations::ablate_bit_source(args.scale, args.seed);
     }
 
-    // Machine-readable benchmark export (not part of `all`: it re-times
-    // everything and is meant for regression dashboards, not reading).
+    // The gated budgets (not part of `all`: they are a regression check,
+    // not a paper artefact). Every verdict prints; any miss fails the run.
     if args.cmd == "bench" {
-        let words = args.n.max(50_000);
-        let mut doc = benchjson::bench_json(args.seed, words);
-        if args.pool {
-            doc.set("pool", benchjson::pool_bench(args.seed, words));
-            doc.set(
-                "pool_observability",
-                benchjson::pool_obs_bench(args.seed, words, args.sample_every),
-            );
-            doc.set("checkpoint", benchjson::checkpoint_bench(args.seed, 256));
-        }
+        let (doc, verdicts) = benchjson::bench_json(
+            args.seed,
+            args.n.max(50_000),
+            args.sample_every,
+            args.baseline,
+            args.max_drop,
+        );
+        let text = doc.to_json();
         match &args.json_out {
             Some(path) => {
-                let text = doc.to_json();
                 std::fs::write(path, &text).expect("writing benchmark JSON");
                 println!(
                     "wrote benchmark JSON ({} bytes) to {}",
@@ -316,49 +327,20 @@ fn main() {
                     path.display()
                 );
             }
-            None => println!("{}", doc.to_json()),
+            None => println!("{text}"),
         }
-        if args.pool {
-            // The sweep's gate is enforced, not just recorded: a pool
-            // that misses its speedup floor fails the run (and the CI
-            // job built on it).
-            match benchjson::pool_gate(&doc) {
+        let mut missed = false;
+        for verdict in verdicts {
+            match verdict {
                 Ok(summary) => println!("OK: {summary}"),
                 Err(reason) => {
                     eprintln!("FAIL: {reason}");
-                    std::process::exit(1);
-                }
-            }
-            // Same treatment for the tracing-overhead budget: paying
-            // more than 5% words/s for observability fails the run.
-            match benchjson::pool_obs_gate(&doc) {
-                Ok(summary) => println!("OK: {summary}"),
-                Err(reason) => {
-                    eprintln!("FAIL: {reason}");
-                    std::process::exit(1);
-                }
-            }
-            // And the checkpoint-cost budget: failover re-runs the
-            // checkpoint/restore round trip on the request path, so a
-            // p99 beyond 1 ms fails the run.
-            match benchjson::checkpoint_gate(&doc) {
-                Ok(summary) => println!("OK: {summary}"),
-                Err(reason) => {
-                    eprintln!("FAIL: {reason}");
-                    std::process::exit(1);
+                    missed = true;
                 }
             }
         }
-        if let Some(path) = &args.baseline {
-            let text = std::fs::read_to_string(path).expect("reading baseline JSON");
-            let baseline = hprng_telemetry::json::parse(&text).expect("parsing baseline JSON");
-            match benchjson::compare_with_baseline(&doc, &baseline, args.max_drop) {
-                Ok(summary) => println!("OK: {summary}"),
-                Err(reason) => {
-                    eprintln!("FAIL: {reason}");
-                    std::process::exit(1);
-                }
-            }
+        if missed {
+            std::process::exit(1);
         }
     }
 

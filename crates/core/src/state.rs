@@ -146,14 +146,17 @@ impl StreamState {
                 reason: "missing or non-string",
             })?
             .to_string();
-        let lanes =
-            value
-                .get("lanes")
-                .and_then(Value::as_f64)
-                .ok_or(HprngError::RestoreMismatch {
-                    field: "lanes",
-                    reason: "missing or non-numeric",
-                })? as usize;
+        // A JSON number is an f64: only a whole number below 2^53 reads
+        // back as the count it was written from.
+        let lanes = value
+            .get("lanes")
+            .and_then(Value::as_f64)
+            .filter(|n| n.fract() == 0.0 && (0.0..(1u64 << 53) as f64).contains(n))
+            .and_then(|n| usize::try_from(n as u64).ok())
+            .ok_or(HprngError::RestoreMismatch {
+                field: "lanes",
+                reason: "missing or not a whole number below 2^53",
+            })?;
         let walks_value =
             value
                 .get("walks")
@@ -278,6 +281,20 @@ mod tests {
                 reason: "missing or not a decimal string",
             })
         );
+        // So must a lane count the f64 cast would misread: 1.5 as 1, -1
+        // as 0, 1e300 as usize::MAX.
+        for lanes in [1.5, -1.0, 1e300] {
+            let mut doc = sample().to_value();
+            doc.set("lanes", Value::from(lanes));
+            assert_eq!(
+                StreamState::from_value(&doc),
+                Err(HprngError::RestoreMismatch {
+                    field: "lanes",
+                    reason: "missing or not a whole number below 2^53",
+                }),
+                "lanes {lanes}"
+            );
+        }
     }
 
     #[test]
@@ -298,5 +315,8 @@ mod tests {
         let state = StreamState::minimal("pool-lane", 3, 99, 1, 1234);
         assert!(state.walks.is_empty());
         assert_eq!(StreamState::from_json(&state.to_json()).unwrap(), state);
+        // An uninitialized engine checkpoints zero lanes.
+        let empty = StreamState::minimal("engine", 3, 99, 0, 0);
+        assert_eq!(StreamState::from_json(&empty.to_json()).unwrap(), empty);
     }
 }
